@@ -9,6 +9,11 @@ observations.
 Replicate ``r`` of a bootstrap distribution always consumes the derived
 stream ``derive_stream(seed, r)``, so the distribution is bit-identical no
 matter in which order (or on how many workers) replicates are evaluated.
+
+Every bootstrap test decides through :func:`decide`: the critical value is
+the lower empirical ``1 - level`` quantile of the replicates, the p-value is
+``(1 + #{replicates >= observed}) / (B + 1)``, and the test rejects when the
+observed statistic exceeds the critical value.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 
 from .exceptions import (
     EmptyInputError,
+    NonFiniteStatisticError,
     PlanMismatchError,
     UnsupportedStatisticError,
 )
@@ -83,6 +89,11 @@ class BlockPlan:
     def require_sample(self, s: HilbertSample) -> None:
         if s.n != self.n:
             raise PlanMismatchError(f"plan is for n={self.n}, sample has n={s.n}")
+
+    def to_dict(self) -> dict:
+        """The plan as recorded in reports, in a fixed key order."""
+        return {"n": self.n, "p": self.p, "k": self.k, "kp": self.kp,
+                "dyadic_freeze": self.dyadic_freeze}
 
 
 def block_length_schedule(n: int, exponent: float = 1.0 / 3.0,
@@ -318,19 +329,30 @@ def counts_from_indices(idx: np.ndarray, k: int) -> np.ndarray:
     return np.bincount(flat, minlength=B * k).reshape(B, k)
 
 
-def block_counts_per_replicate(plan: BlockPlan, seed: int, B: int) -> np.ndarray:
+def block_counts_per_replicate(plan: BlockPlan, seed: int, B: int, *tail: int) -> np.ndarray:
     """Block-draw counts for ``B`` replicates with per-replicate streams.
 
-    Row ``r`` counts the ``k`` uniform block draws of ``derive_stream(seed, r)``,
-    exactly the draw :func:`draw_bootstrap_sample` would make from the same
-    stream.
+    Row ``r`` counts the ``k`` uniform block draws of
+    ``derive_stream(seed, r, *tail)``, exactly the draw
+    :func:`draw_bootstrap_sample` would make from the same stream.
     """
     if B < 1:
         raise EmptyInputError("need B >= 1 bootstrap replicates")
     idx = np.empty((B, plan.k), dtype=np.int64)
-    for r, rng in replicate_streams(seed, B):
+    for r, rng in replicate_streams(seed, B, *tail):
         idx[r] = _draw_block_indices(plan, rng)
     return counts_from_indices(idx, plan.k)
+
+
+def block_mean_deviations(s: HilbertSample, plan: BlockPlan, counts: np.ndarray) -> np.ndarray:
+    """``mean(star) - mean(first kp)`` per row of block counts, as ``(B, d)``.
+
+    A bootstrap sample's mean is the count-weighted average of the ``k``
+    block means, so the deviation needs only the ``(B, k)`` counts.
+    """
+    means = s.values[: plan.kp].reshape(plan.k, plan.p, s.d).mean(axis=1)
+    dev = counts.astype(np.float64) - 1.0
+    return np.einsum("bk,kd->bd", dev, means, optimize=False) / plan.k
 
 
 def empirical_quantile(values: np.ndarray, q: float) -> float:
@@ -341,8 +363,34 @@ def empirical_quantile(values: np.ndarray, q: float) -> float:
     B = values.size
     if B < 1:
         raise EmptyInputError("cannot take a quantile of zero replicates")
+    if not np.all(np.isfinite(values)):
+        bad = int(np.count_nonzero(~np.isfinite(values)))
+        raise NonFiniteStatisticError(f"{bad} of {B} bootstrap replicates are not finite")
     m = max(1, _snap_ceil(B * q))
     return float(np.partition(values, m - 1)[m - 1])
+
+
+def decide(observed: float, replicates: np.ndarray, level: float) -> dict:
+    """Critical value, finite-B p-value and decision of a bootstrap test.
+
+    The test rejects when ``observed`` exceeds the lower empirical
+    ``1 - level`` quantile of the replicates, the ``m``-th order statistic
+    with ``m = max(1, ceil(B*(1 - level)))``.  Under ties too, that happens
+    exactly when ``#{replicates >= observed} <= B - m``.  All values returned
+    are plain Python scalars.
+    """
+    observed = float(observed)
+    if not math.isfinite(observed):
+        raise NonFiniteStatisticError(f"observed statistic is {observed}")
+    replicates = np.asarray(replicates, dtype=np.float64)
+    critical = empirical_quantile(replicates, 1.0 - level)
+    exceed = int(np.count_nonzero(replicates >= observed))
+    return {
+        "statistic": observed,
+        "critical_value": critical,
+        "p_value": (1.0 + exceed) / (replicates.size + 1.0),
+        "reject": observed > critical,
+    }
 
 
 def bootstrap_quantile(dist: BootstrapDistribution, q: float) -> float:
@@ -408,18 +456,7 @@ def two_sample_test(x: HilbertSample, y: HilbertSample, plan_x: BlockPlan,
     mean_y = y.values[: plan_y.kp].mean(axis=0)
     diff = mean_x - mean_y
     observed = float(np.sqrt(np.sum(diff * diff * x.weights)))
-    values = np.empty(B)
-    for r in range(B):
-        star_x = _gather(x, plan_x, _draw_block_indices(plan_x, derive_stream(seed, r)))
-        star_y = _gather(y, plan_y, _draw_block_indices(plan_y, derive_stream(seed, r, 1)))
-        delta = (star_x.mean(axis=0) - mean_x) - (star_y.mean(axis=0) - mean_y)
-        values[r] = np.sqrt(np.sum(delta * delta * x.weights))
-    critical = empirical_quantile(values, 1.0 - level)
-    p_value = (1.0 + np.count_nonzero(values >= observed)) / (B + 1.0)
-    return {
-        "statistic": observed,
-        "critical_value": critical,
-        "p_value": p_value,
-        "reject": bool(observed > critical),
-        "replicates": values,
-    }
+    delta = (block_mean_deviations(x, plan_x, block_counts_per_replicate(plan_x, seed, B))
+             - block_mean_deviations(y, plan_y, block_counts_per_replicate(plan_y, seed, B, 1)))
+    values = np.sqrt(np.sum(delta * delta * x.weights, axis=1))
+    return {**decide(observed, values, level), "replicates": values}

@@ -3,8 +3,9 @@
 Subcommands: ``generate``, ``bootstrap``, ``cvm-test``, ``vstat-test``,
 ``two-sample``, ``montecarlo``.  Reports are JSON with a fixed key order and
 no timestamps, so a fixed seed yields byte-identical output across runs and
-thread counts.  Exit codes: 0 success, 2 configuration error, 3 failure-policy
-breach in a Monte Carlo run.
+thread counts.  Exit codes: 0 success, 2 configuration error (or a
+non-finite statistic), 3 failure-policy breach in a Monte Carlo run, 4 the
+``--workers`` process pool failed.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -46,11 +48,6 @@ _QUANTILES = (0.5, 0.9, 0.95, 0.99)
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(json.dumps(payload, indent=2) + "\n")
-
-
-def _plan_dict(plan: BlockPlan) -> dict:
-    return {"n": plan.n, "p": plan.p, "k": plan.k, "kp": plan.kp,
-            "dyadic_freeze": plan.dyadic_freeze}
 
 
 def _plan_from_args(n: int, args) -> BlockPlan:
@@ -90,7 +87,7 @@ def _test_payload(command: str, result: dict, plan: BlockPlan, args, extra: dict
         "schema": 1,
         "version": __version__,
         "command": command,
-        "plan": _plan_dict(plan),
+        "plan": plan.to_dict(),
         "seed": args.seed,
         "level": args.level,
         "replicates": int(result["replicates"].size),
@@ -134,7 +131,7 @@ def cmd_bootstrap(args) -> int:
         "schema": 1,
         "version": __version__,
         "command": "bootstrap",
-        "plan": _plan_dict(plan),
+        "plan": plan.to_dict(),
         "seed": args.seed,
         "statistic": dist.statistic_id,
         "replicates": {
@@ -295,6 +292,9 @@ def main(argv=None) -> int:
     except (BlockbootError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenExecutor as exc:  # e.g. a --workers process was killed
+        print(f"error: worker pool failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

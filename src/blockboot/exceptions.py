@@ -25,6 +25,10 @@ class UnsupportedStatisticError(BlockbootError, TypeError):
     """The requested reduction does not apply to this kind of replicates."""
 
 
+class NonFiniteStatisticError(BlockbootError, ValueError):
+    """A statistic or one of its bootstrap replicates is NaN or infinite."""
+
+
 class ConfigError(BlockbootError, ValueError):
     """Invalid process, kernel, or experiment configuration."""
 

@@ -25,9 +25,11 @@ from . import __version__
 from .bootstrap import (
     BlockPlan,
     block_length_schedule,
+    block_mean_deviations,
     counts_from_indices,
-    empirical_quantile,
+    decide,
 )
+from .bootstrap import empirical_quantile  # noqa: F401  (traced by perfbench/tracing.py)
 from .dists import Distribution, distribution_from_token, normal, standardized_uniform, student_t
 from .exceptions import ConfigError
 from .generators import ProcessConfig, generate_functional, generate_real
@@ -236,19 +238,15 @@ def _weighted_norms(delta: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(delta * delta * weights, axis=1))
 
 
-def _block_means(s: HilbertSample, plan: BlockPlan) -> np.ndarray:
-    return s.values[: plan.kp].reshape(plan.k, plan.p, s.d).mean(axis=1)
-
-
-def _decision_fields(observed: float, boot: np.ndarray, level: float) -> dict:
-    critical = empirical_quantile(boot, 1.0 - level)
-    p_value = (1.0 + np.count_nonzero(boot >= observed)) / (boot.size + 1.0)
-    return {
-        "observed": observed,
-        "critical_value": critical,
-        "reject": bool(observed > critical),
-        "p_value": p_value,
-    }
+def _record(r: int, observed: float, boot: np.ndarray, level: float) -> ReplicationRecord:
+    decision = decide(observed, boot, level)
+    return ReplicationRecord(
+        replication=r,
+        observed=decision["statistic"],
+        critical_value=decision["critical_value"],
+        reject=decision["reject"],
+        p_value=decision["p_value"],
+    )
 
 
 def resolve_null(cfg: ExperimentConfig) -> Distribution:
@@ -283,21 +281,17 @@ def resolve_null(cfg: ExperimentConfig) -> Distribution:
 def _mean_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
     rng = derive_stream(cfg.master_seed, r, _TAG_DATA)
     s = _generate(cfg, cfg.process, rng)
-    means = _block_means(s, plan)
     center = s.values[: plan.kp].mean(axis=0)
     root_kp = math.sqrt(plan.kp)
 
     counts = _draw_counts(plan, derive_stream(cfg.master_seed, r, _TAG_BOOT), cfg.replicates)
-    dev = counts.astype(np.float64) - 1.0
-    delta = np.einsum("bk,kd->bd", dev, means, optimize=False) / plan.k
-    boot = root_kp * _weighted_norms(delta, s.weights)
+    boot = root_kp * _weighted_norms(block_mean_deviations(s, plan, counts), s.weights)
 
     # All built-in processes are centered, so the truth is the zero function.
     observed = float(root_kp * np.sqrt(np.sum(center * center * s.weights)))
-    fields = _decision_fields(observed, boot, cfg.level)
-    record = ReplicationRecord(replication=r, **fields)
+    record = _record(r, observed, boot, cfg.level)
     if s.d == 1:
-        radius = fields["critical_value"] / root_kp
+        radius = record.critical_value / root_kp
         record.ci_low = float(center[0] - radius)
         record.ci_high = float(center[0] + radius)
     return record, boot
@@ -310,27 +304,22 @@ def _two_sample_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
     if cfg.mean_shift != 0.0:
         y = HilbertSample(y.grid, y.weights, y.values + cfg.mean_shift)
 
-    means_x, means_y = _block_means(x, plan), _block_means(y, plan)
     center_x = x.values[: plan.kp].mean(axis=0)
     center_y = y.values[: plan.kp].mean(axis=0)
 
-    dev_x = _draw_counts(plan, derive_stream(cfg.master_seed, r, _TAG_BOOT),
-                         cfg.replicates).astype(np.float64) - 1.0
-    dev_y = _draw_counts(plan, derive_stream(cfg.master_seed, r, _TAG_BOOT_Y),
-                         cfg.replicates).astype(np.float64) - 1.0
-    delta = (
-        np.einsum("bk,kd->bd", dev_x, means_x, optimize=False)
-        - np.einsum("bk,kd->bd", dev_y, means_y, optimize=False)
-    ) / plan.k
+    counts_x = _draw_counts(plan, derive_stream(cfg.master_seed, r, _TAG_BOOT), cfg.replicates)
+    counts_y = _draw_counts(plan, derive_stream(cfg.master_seed, r, _TAG_BOOT_Y),
+                            cfg.replicates)
+    delta = block_mean_deviations(x, plan, counts_x) - block_mean_deviations(y, plan, counts_y)
     boot = _weighted_norms(delta, x.weights)
 
     diff = center_x - center_y
     observed = float(np.sqrt(np.sum(diff * diff * x.weights)))
-    fields = _decision_fields(observed, boot, cfg.level)
-    return ReplicationRecord(replication=r, **fields), boot
+    return _record(r, observed, boot, cfg.level), boot
 
 
-def _cvm_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int, null: Distribution):
+def _cvm_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
+    null = resolve_null(cfg)
     rng = derive_stream(cfg.master_seed, r, _TAG_DATA)
     s = _generate(cfg, cfg.process, rng)
     spec = make_cvm_spec(null.cdf, null.support, null.weight_fn, sample=s)
@@ -338,19 +327,18 @@ def _cvm_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int, null: Distr
     evaluator = cvm_bootstrap_evaluator(s, plan, spec)
     counts = _draw_counts(plan, derive_stream(cfg.master_seed, r, _TAG_BOOT), cfg.replicates)
     boot = evaluator(counts)
-    fields = _decision_fields(observed, boot, cfg.level)
-    return ReplicationRecord(replication=r, **fields), boot
+    return _record(r, observed, boot, cfg.level), boot
 
 
-def _vstat_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int, kernel):
+def _vstat_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
+    kernel = kernel_from_token(cfg.kernel_token)
     rng = derive_stream(cfg.master_seed, r, _TAG_DATA)
     s = _generate(cfg, cfg.process, rng)
     observed = float(cfg.n * v_statistic(s, kernel))
     evaluator = vstat_bootstrap_evaluator(s, plan, kernel)
     counts = _draw_counts(plan, derive_stream(cfg.master_seed, r, _TAG_BOOT), cfg.replicates)
     boot = evaluator(counts)
-    fields = _decision_fields(observed, boot, cfg.level)
-    return ReplicationRecord(replication=r, **fields), boot
+    return _record(r, observed, boot, cfg.level), boot
 
 
 # ---------------------------------------------------------------------------
@@ -473,20 +461,16 @@ def aggregates_from_records(family: str, records: list[ReplicationRecord],
     return out
 
 
-def _replicate_for(cfg: ExperimentConfig, plan: BlockPlan, r: int):
-    family = cfg.family
-    if family == "mean-norm":
-        return _mean_replication(cfg, plan, r)
-    if family == "two-sample-mean":
-        return _two_sample_replication(cfg, plan, r)
-    if family == "cvm":
-        return _cvm_replication(cfg, plan, r, resolve_null(cfg))
-    return _vstat_replication(cfg, plan, r, kernel_from_token(cfg.kernel_token))
-
-
 def _safe_replicate(cfg: ExperimentConfig, plan: BlockPlan, r: int):
+    # Built per call, so that it reads the module's current functions.
+    replicate = {
+        "mean-norm": _mean_replication,
+        "two-sample-mean": _two_sample_replication,
+        "cvm": _cvm_replication,
+        "vstat": _vstat_replication,
+    }[cfg.family]
     try:
-        return _replicate_for(cfg, plan, r)
+        return replicate(cfg, plan, r)
     except Exception as exc:  # recorded, excluded, counted
         record = ReplicationRecord(
             replication=r, failed=True, error=f"{type(exc).__name__}: {exc}"
@@ -494,7 +478,7 @@ def _safe_replicate(cfg: ExperimentConfig, plan: BlockPlan, r: int):
         return record, None
 
 
-def _run(cfg: ExperimentConfig, family: str, workers: int = 1) -> ExperimentReport:
+def _run(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     plan = experiment_plan(cfg)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -513,13 +497,13 @@ def _run(cfg: ExperimentConfig, family: str, workers: int = 1) -> ExperimentRepo
 
     reference_cdf = None
     reference_name = None
-    if family == "vstat" and cfg.kernel_token == "product" and cfg.process.kind == "iid":
+    if cfg.family == "vstat" and cfg.kernel_token == "product" and cfg.process.kind == "iid":
         # n V_n = (sqrt(n) mean)^2 for the product kernel, a scaled chi-square
         # with one degree of freedom; unit scale for the standardized draws.
         reference_cdf = _sstats.chi2(df=1).cdf
         reference_name = "chi2:1"
 
-    aggregates = aggregates_from_records(family, records, pooled_boot,
+    aggregates = aggregates_from_records(cfg.family, records, pooled_boot,
                                          reference_cdf, reference_name)
     flags = {
         "degenerate_single_block": plan.k == 1,
@@ -528,8 +512,7 @@ def _run(cfg: ExperimentConfig, family: str, workers: int = 1) -> ExperimentRepo
     }
     return ExperimentReport(
         config=asdict(cfg),
-        plan={"n": plan.n, "p": plan.p, "k": plan.k, "kp": plan.kp,
-              "dyadic_freeze": plan.dyadic_freeze},
+        plan=plan.to_dict(),
         statistic=cfg.statistic,
         records=records,
         aggregates=aggregates,
@@ -537,46 +520,20 @@ def _run(cfg: ExperimentConfig, family: str, workers: int = 1) -> ExperimentRepo
     )
 
 
-def run_mean_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
-    """Coverage of the bootstrap confidence ball for the mean."""
-    if cfg.family != "mean-norm":
-        raise ConfigError(f"expected a mean-norm statistic, got {cfg.statistic!r}")
-    return _run(cfg, "mean-norm", workers)
-
-
-def run_two_sample_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
-    """Size (or power, under a mean shift) of the two-sample mean test."""
-    if cfg.family != "two-sample-mean":
-        raise ConfigError(f"expected a two-sample-mean statistic, got {cfg.statistic!r}")
-    return _run(cfg, "two-sample-mean", workers)
-
-
-def run_cvm_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
-    """Size of the goodness-of-fit test and bootstrap-law agreement."""
-    if cfg.family != "cvm":
-        raise ConfigError(f"expected a cvm statistic, got {cfg.statistic!r}")
-    resolve_null(cfg)  # fail fast on unresolvable nulls
-    return _run(cfg, "cvm", workers)
-
-
-def run_vstat_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
-    """Law agreement for a degenerate V-statistic and its bootstrap."""
-    if cfg.family != "vstat":
-        raise ConfigError(f"expected a vstat statistic, got {cfg.statistic!r}")
-    return _run(cfg, "vstat", workers)
-
-
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
-    """Dispatch on the configured statistic family.
+    """Run the Monte Carlo experiment of the configured statistic family.
+
+    ``mean-norm`` reports the coverage of the bootstrap confidence ball for
+    the mean; ``two-sample-mean`` the size (or power, under a mean shift) of
+    the two-sample mean test; ``cvm`` the size of the goodness-of-fit test;
+    ``vstat:<kernel>`` the agreement of a degenerate V-statistic's law with
+    its bootstrap.  An unresolvable ``cvm`` null fails before any
+    replication runs.
 
     ``workers > 1`` runs replications on a process pool; because replication
     ``r`` depends only on streams derived from ``(master_seed, r)``, the
     report is byte-identical for any worker count.
     """
-    runner = {
-        "mean-norm": run_mean_experiment,
-        "two-sample-mean": run_two_sample_experiment,
-        "cvm": run_cvm_experiment,
-        "vstat": run_vstat_experiment,
-    }[cfg.family]
-    return runner(cfg, workers=workers)
+    if cfg.family == "cvm":
+        resolve_null(cfg)  # fail fast on unresolvable nulls
+    return _run(cfg, workers)

@@ -52,23 +52,20 @@ def derive_stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
-def replicate_streams(seed: int, B: int):
+def replicate_streams(seed: int, B: int, *tail: int):
     """Yield ``(r, generator)`` for ``r = 0..B-1``, each positioned exactly
-    where ``derive_stream(seed, r)`` starts.
+    where ``derive_stream(seed, r, *tail)`` starts.
 
     One generator object is reused and its Philox state reset between
     replicates, which avoids the construction cost of ``B`` generators; the
     draws are bit-identical to fresh per-replicate streams.  The yielded
     generator is only valid until the next iteration step.
     """
-    gen = derive_stream(seed, 0)
+    gen = derive_stream(seed, 0, *tail)
     bit_generator = gen.bit_generator
+    # The state of a fresh stream: empty buffer, counter [0, path length, r=0, tail].
     template = bit_generator.state
-    counter = np.array([0, 1, 0, 0], dtype=np.uint64)
-    template["state"]["counter"] = counter
-    template["buffer_pos"] = 4
-    template["has_uint32"] = 0
-    template["uinteger"] = 0
+    counter = template["state"]["counter"]
     for r in range(B):
         counter[2] = r
         bit_generator.state = template

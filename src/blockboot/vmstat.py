@@ -20,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bootstrap import BlockPlan, block_counts_per_replicate, empirical_quantile
+from .bootstrap import BlockPlan, block_counts_per_replicate, decide
+from .bootstrap import empirical_quantile  # noqa: F401  (traced by perfbench/tracing.py)
 from .exceptions import (
     ConfigError,
     CvmSpecError,
@@ -374,18 +375,6 @@ def cvm_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, spec: CvmSpec):
     return evaluator
 
 
-def _test_report(observed: float, values: np.ndarray, level: float) -> dict:
-    critical = empirical_quantile(values, 1.0 - level)
-    p_value = (1.0 + np.count_nonzero(values >= observed)) / (values.size + 1.0)
-    return {
-        "statistic": observed,
-        "critical_value": critical,
-        "p_value": p_value,
-        "reject": bool(observed > critical),
-        "replicates": values,
-    }
-
-
 def vstat_test(s: HilbertSample, h: Kernel, plan: BlockPlan, B: int, seed: int,
                level: float) -> dict:
     """Bootstrap test based on the scaled V-statistic ``n * V_n``.
@@ -398,8 +387,8 @@ def vstat_test(s: HilbertSample, h: Kernel, plan: BlockPlan, B: int, seed: int,
     plan.require_sample(s)
     observed = s.n * v_statistic(s, h)
     evaluator = vstat_bootstrap_evaluator(s, plan, h)
-    counts = block_counts_per_replicate(plan, seed, B)
-    return _test_report(observed, evaluator(counts), level)
+    values = evaluator(block_counts_per_replicate(plan, seed, B))
+    return {**decide(observed, values, level), "replicates": values}
 
 
 def cvm_test(s: HilbertSample, spec: CvmSpec, plan: BlockPlan, B: int, seed: int,
@@ -410,5 +399,5 @@ def cvm_test(s: HilbertSample, spec: CvmSpec, plan: BlockPlan, B: int, seed: int
     plan.require_sample(s)
     observed = s.n * cvm_statistic(s, spec)
     evaluator = cvm_bootstrap_evaluator(s, plan, spec)
-    counts = block_counts_per_replicate(plan, seed, B)
-    return _test_report(observed, evaluator(counts), level)
+    values = evaluator(block_counts_per_replicate(plan, seed, B))
+    return {**decide(observed, values, level), "replicates": values}

@@ -38,9 +38,7 @@ from blockboot.generators import ProcessConfig
 from blockboot.harness import (
     ExperimentConfig,
     ks_sample_vs_discrete,
-    run_cvm_experiment,
-    run_mean_experiment,
-    run_vstat_experiment,
+    run_experiment,
 )
 from blockboot.rng import derive_stream
 from blockboot.vmstat import kernel_from_token
@@ -173,7 +171,7 @@ def test_criterion_06_iid_coverage(announce):
         master_seed=20260806,
         block_length=10,  # floor(1000 ** (1/3))
     )
-    coverage = run_mean_experiment(cfg).aggregates["coverage"]
+    coverage = run_experiment(cfg).aggregates["coverage"]
     elapsed = time.perf_counter() - started
     ok = 0.86 <= coverage <= 0.94 and elapsed < 120.0
     announce(6, ok, f"empirical coverage {coverage:.3f} in [0.86, 0.94], "
@@ -192,7 +190,7 @@ def test_criterion_07_dependent_coverage_and_lrv(announce):
         master_seed=20260807,
         block_length=10,
     )
-    coverage = run_mean_experiment(cfg).aggregates["coverage"]
+    coverage = run_experiment(cfg).aggregates["coverage"]
     path = generate_real(ProcessConfig(kind="ar1-real", phi=0.5, seed=20260817), 100000)
     plan = block_length_schedule(100000)
     estimate = long_run_variance_estimate(path, plan)
@@ -217,7 +215,7 @@ def test_criterion_08_degenerate_vstat_law(announce):
         master_seed=20260808,
         block_length=12,  # floor(2000 ** (1/3))
     )
-    agg = run_vstat_experiment(cfg).aggregates
+    agg = run_experiment(cfg).aggregates
     elapsed = time.perf_counter() - started
     ok = (agg["ks_bootstrap_vs_mc"] < 0.10
           and agg["ks_bootstrap_vs_reference"] < 0.10
@@ -241,7 +239,7 @@ def test_criterion_09_cvm_test_size(announce):
         master_seed=20260809,
         block_length=12,
     )
-    size = run_cvm_experiment(cfg).aggregates["size"]
+    size = run_experiment(cfg).aggregates["size"]
     ok = 0.03 <= size <= 0.07
     announce(9, ok, f"empirical size {size:.4f} in [0.03, 0.07] over M=2000")
 

@@ -23,10 +23,12 @@ from blockboot.bootstrap import (
     MeanStatistic,
     block_counts_per_replicate,
     counts_from_indices,
+    decide,
     empirical_quantile,
 )
 from blockboot.exceptions import (
     EmptyInputError,
+    NonFiniteStatisticError,
     PlanMismatchError,
     UnsupportedStatisticError,
 )
@@ -287,6 +289,37 @@ class TestBootstrapQuantile:
         dist = _scalar_dist([1.0, 2.0])
         with pytest.raises(ValueError):
             bootstrap_quantile(dist, 1.0)
+
+    def test_non_finite_replicate_is_an_error(self):
+        s = scalar_sample(np.arange(6.0))
+        plan = BlockPlan(n=6, p=2)
+        dist = bootstrap_distribution(s, plan, 8, lambda a, b, c: float("nan"), seed=0)
+        with pytest.raises(NonFiniteStatisticError):
+            bootstrap_quantile(dist, 0.5)
+
+
+class TestDecide:
+    def test_finite_b_conventions(self):
+        result = decide(2.0, np.array([1.0, 2.0, 3.0, 4.0]), 0.5)
+        assert result == {"statistic": 2.0, "critical_value": 2.0,
+                          "p_value": 4.0 / 5.0, "reject": False}
+
+    def test_values_are_plain_python_scalars(self):
+        result = decide(np.float64(3.5), np.arange(99.0), 0.05)
+        assert [type(result[key]) for key in ("statistic", "critical_value",
+                                              "p_value", "reject")] == \
+            [float, float, float, bool]
+
+    @pytest.mark.parametrize("observed", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_observed_is_an_error(self, observed):
+        with pytest.raises(NonFiniteStatisticError):
+            decide(observed, np.arange(99.0), 0.05)
+
+    def test_non_finite_replicate_is_an_error(self):
+        values = np.arange(99.0)
+        values[40] = np.nan
+        with pytest.raises(NonFiniteStatisticError):
+            decide(1.0, values, 0.05)
 
 
 def _scalar_dist(values):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -220,6 +221,21 @@ class TestMonteCarloCommand:
         code = run_cli("montecarlo", "--config", str(config),
                        "--out", str(tmp_path / "mc"))
         assert code == 3
+
+    def test_broken_worker_pool_exits_4(self, tmp_path, monkeypatch, capsys):
+        import blockboot.cli as cli
+
+        def broken(cfg, workers=1):
+            raise BrokenProcessPool("a child process terminated abruptly")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        config = tmp_path / "exp.ini"
+        config.write_text(EXPERIMENT_INI)
+        code = run_cli("montecarlo", "--config", str(config),
+                       "--out", str(tmp_path / "mc"), "--workers", "2")
+        assert code == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_records_csv_matches_report_counts(self, tmp_path):
         config = tmp_path / "exp.ini"

@@ -15,11 +15,7 @@ from blockboot.harness import (
     ks_sample_vs_discrete,
     ks_two_sample,
     resolve_null,
-    run_cvm_experiment,
     run_experiment,
-    run_mean_experiment,
-    run_two_sample_experiment,
-    run_vstat_experiment,
 )
 from blockboot.rng import derive_stream
 
@@ -85,10 +81,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             mean_config(mean_shift=1.0)
 
-    def test_runner_statistic_must_match(self):
-        with pytest.raises(ConfigError):
-            run_cvm_experiment(mean_config())
-
 
 class TestResolveNull:
     def test_iid_gaussian(self):
@@ -118,37 +110,37 @@ class TestResolveNull:
 class TestMeanExperiment:
     def test_single_block_is_flagged_degenerate(self):
         cfg = mean_config(n=10, block_length=10, replications=1, replicates=1)
-        report = run_mean_experiment(cfg)
+        report = run_experiment(cfg)
         assert report.flags["degenerate_single_block"] is True
         rec = report.records[0]
         assert rec.critical_value == 0.0
         assert rec.ci_low == rec.ci_high
 
     def test_same_seed_gives_identical_reports(self):
-        a = run_mean_experiment(mean_config())
-        b = run_mean_experiment(mean_config())
+        a = run_experiment(mean_config())
+        b = run_experiment(mean_config())
         assert a.report_json() == b.report_json()
         assert a.records_csv() == b.records_csv()
 
     def test_records_depend_only_on_their_replication_stream(self):
-        full = run_mean_experiment(mean_config(replications=8))
-        prefix = run_mean_experiment(mean_config(replications=3))
+        full = run_experiment(mean_config(replications=8))
+        prefix = run_experiment(mean_config(replications=3))
         for r in range(3):
             assert full.records[r] == prefix.records[r]
 
     def test_worker_pool_gives_identical_reports(self):
-        sequential = run_mean_experiment(mean_config(replications=12))
-        pooled = run_mean_experiment(mean_config(replications=12), workers=3)
+        sequential = run_experiment(mean_config(replications=12))
+        pooled = run_experiment(mean_config(replications=12), workers=3)
         assert sequential.report_json() == pooled.report_json()
         assert sequential.records_csv() == pooled.records_csv()
 
     def test_reasonable_coverage_at_small_scale(self):
-        report = run_mean_experiment(mean_config(replications=200, replicates=300))
+        report = run_experiment(mean_config(replications=200, replicates=300))
         assert 0.80 <= report.aggregates["coverage"] <= 0.98
 
     def test_scalar_ci_contains_leading_mean_logic(self):
         cfg = mean_config(replications=5)
-        report = run_mean_experiment(cfg)
+        report = run_experiment(cfg)
         for rec in report.records:
             assert rec.ci_low <= rec.ci_high
             covered = rec.ci_low <= 0.0 <= rec.ci_high
@@ -171,7 +163,7 @@ class TestTwoSampleExperiment:
             grid=GridSpec(points=24),
             block_length=10,
         )
-        report = run_two_sample_experiment(cfg)
+        report = run_experiment(cfg)
         assert 0.03 <= report.aggregates["size"] <= 0.07
 
     def test_power_against_large_shift(self):
@@ -186,7 +178,7 @@ class TestTwoSampleExperiment:
             block_length=5,
             mean_shift=5.0,
         )
-        report = run_two_sample_experiment(cfg)
+        report = run_experiment(cfg)
         assert report.aggregates["size"] >= 0.99  # rejection rate under the shift
 
     def test_two_processes_may_differ(self):
@@ -201,7 +193,7 @@ class TestTwoSampleExperiment:
             master_seed=101,
             block_length=5,
         )
-        report = run_two_sample_experiment(cfg)
+        report = run_experiment(cfg)
         assert report.aggregates["failed"] == 0
 
 
@@ -216,7 +208,7 @@ class TestCvmExperiment:
             level=0.05,
             master_seed=102,
         )
-        report = run_cvm_experiment(cfg)
+        report = run_experiment(cfg)
         assert 0.01 <= report.aggregates["size"] <= 0.10
         assert report.aggregates["ks_bootstrap_vs_mc"] < 0.15
 
@@ -232,7 +224,7 @@ class TestCvmExperiment:
             master_seed=103,
             null="normal",
         )
-        rejected = run_cvm_experiment(null_cfg).aggregates["size"]
+        rejected = run_experiment(null_cfg).aggregates["size"]
         honest_cfg = ExperimentConfig(
             statistic="cvm",
             process=ProcessConfig(kind="ar1-real", phi=0.6),
@@ -242,7 +234,7 @@ class TestCvmExperiment:
             level=0.05,
             master_seed=103,
         )
-        size = run_cvm_experiment(honest_cfg).aggregates["size"]
+        size = run_experiment(honest_cfg).aggregates["size"]
         assert rejected > size
 
 
@@ -257,7 +249,7 @@ class TestVstatExperiment:
             level=0.05,
             master_seed=104,
         )
-        report = run_vstat_experiment(cfg)
+        report = run_experiment(cfg)
         assert report.aggregates["reference"] == "chi2:1"
         assert report.aggregates["ks_bootstrap_vs_reference"] < 0.10
 
@@ -272,7 +264,7 @@ class TestVstatExperiment:
             master_seed=105,
             block_length=20,
         )
-        report = run_vstat_experiment(cfg)
+        report = run_experiment(cfg)
         assert report.flags["degenerate_single_block"] is True
         assert all(rec.critical_value == 0.0 for rec in report.records)
 
@@ -287,12 +279,32 @@ class TestFailurePolicy:
             return original(cfg, plan, r)
 
         monkeypatch.setattr(harness, "_mean_replication", flaky)
-        report = run_mean_experiment(mean_config(replications=40))
+        report = run_experiment(mean_config(replications=40))
         assert report.aggregates["failed"] == 2
         assert report.records[2].failed and "synthetic fault" in report.records[2].error
         assert report.flags["failure_policy_breach"] is True  # 5% > 1%
         ok = [rec for rec in report.records if not rec.failed]
         assert len(ok) == 38
+
+    @pytest.mark.parametrize("target", ["observed", "replicate"])
+    def test_non_finite_statistic_is_a_recorded_failure(self, monkeypatch, target):
+        if target == "observed":
+            monkeypatch.setattr(harness, "v_statistic", lambda s, kernel: float("nan"))
+        else:
+            original = harness.vstat_bootstrap_evaluator
+
+            def with_nan(s, plan, kernel):
+                evaluator = original(s, plan, kernel)
+                return lambda counts: np.where(np.arange(len(counts)) == 3, np.nan,
+                                               evaluator(counts))
+
+            monkeypatch.setattr(harness, "vstat_bootstrap_evaluator", with_nan)
+        cfg = mean_config(statistic="vstat:product", replications=3)
+        report = run_experiment(cfg)
+        assert report.aggregates["failed"] == 3
+        for rec in report.records:
+            assert rec.failed and rec.error.startswith("NonFiniteStatisticError:")
+            assert rec.reject is None and rec.p_value is None
 
     def test_rare_failures_do_not_breach(self, monkeypatch):
         original = harness._mean_replication
@@ -303,14 +315,14 @@ class TestFailurePolicy:
             return original(cfg, plan, r)
 
         monkeypatch.setattr(harness, "_mean_replication", flaky)
-        report = run_mean_experiment(mean_config(replications=200))
+        report = run_experiment(mean_config(replications=200))
         assert report.aggregates["failed"] == 1
         assert report.flags["failure_policy_breach"] is False
 
 
 class TestReportSerialization:
     def test_aggregates_recomputable_from_records(self):
-        report = run_mean_experiment(mean_config())
+        report = run_experiment(mean_config())
         # independent recomputation from the CSV text
         lines = report.records_csv().strip().splitlines()
         header = lines[0].split(",")
@@ -327,20 +339,28 @@ class TestReportSerialization:
         assert report.aggregates["coverage_se"] == pytest.approx(se, rel=1e-12)
 
     def test_report_json_round_trips_byte_identically(self):
-        report = run_mean_experiment(mean_config())
+        report = run_experiment(mean_config())
         text = report.report_json()
         reparsed = json.loads(text)
         assert json.dumps(reparsed, indent=2) + "\n" == text
 
     def test_summary_csv_lists_metrics_with_stderr(self):
-        report = run_mean_experiment(mean_config())
+        report = run_experiment(mean_config())
         lines = report.summary_csv().strip().splitlines()
         assert lines[0] == "metric,value,stderr"
         metrics = {line.split(",")[0] for line in lines[1:]}
         assert {"coverage", "failure_rate", "ks_bootstrap_vs_mc"} <= metrics
 
+    def test_p_values_are_written_as_plain_floats(self):
+        report = run_experiment(mean_config(statistic="vstat:product", replications=6))
+        lines = report.records_csv().strip().splitlines()
+        column = lines[0].split(",").index("p_value")
+        for rec, line in zip(report.records, lines[1:], strict=True):
+            cell = line.split(",")[column]
+            assert cell and float(cell) == rec.p_value
+
     def test_write_outputs_three_files(self, tmp_path):
-        report = run_mean_experiment(mean_config(replications=3))
+        report = run_experiment(mean_config(replications=3))
         report.write(str(tmp_path))
         for name in ("report.json", "records.csv", "summary.csv"):
             assert (tmp_path / name).exists()
