@@ -29,7 +29,7 @@ from .exceptions import (
     PlanMismatchError,
     UnsupportedStatisticError,
 )
-from .hilbert import GridFunction, HilbertSample, norm
+from .hilbert import GridFunction, HilbertSample
 from .rng import derive_stream, replicate_streams
 
 #: Relative slack used to snap floating-point powers/products to a nearby
@@ -130,9 +130,19 @@ def _draw_block_indices(plan: BlockPlan, rng: np.random.Generator) -> np.ndarray
     return rng.integers(0, plan.k, size=plan.k)
 
 
-def _gather(s: HilbertSample, plan: BlockPlan, idx: np.ndarray) -> np.ndarray:
+def _replicate_block_indices(plan: BlockPlan, seed: int, B: int, *tail: int) -> np.ndarray:
+    """``(B, k)`` block draws; row ``r`` comes from ``derive_stream(seed, r, *tail)``."""
+    if B < 1:
+        raise EmptyInputError("need B >= 1 bootstrap replicates")
+    idx = np.empty((B, plan.k), dtype=np.int64)
+    for r, rng in replicate_streams(seed, B, *tail):
+        idx[r] = _draw_block_indices(plan, rng)
+    return idx
+
+
+def _resample(s: HilbertSample, plan: BlockPlan, idx: np.ndarray) -> HilbertSample:
     rows = (idx[:, None] * plan.p + np.arange(plan.p)[None, :]).ravel()
-    return s.values[rows]
+    return HilbertSample(s.grid, s.weights, s.values[rows])
 
 
 def draw_bootstrap_sample(s: HilbertSample, plan: BlockPlan,
@@ -144,8 +154,7 @@ def draw_bootstrap_sample(s: HilbertSample, plan: BlockPlan,
     state.
     """
     plan.require_sample(s)
-    idx = _draw_block_indices(plan, rng)
-    return HilbertSample(s.grid, s.weights, _gather(s, plan, idx))
+    return _resample(s, plan, _draw_block_indices(plan, rng))
 
 
 def bootstrap_mean_statistic(s: HilbertSample, star: HilbertSample,
@@ -160,66 +169,70 @@ def bootstrap_mean_statistic(s: HilbertSample, star: HilbertSample,
     return GridFunction(s.grid, math.sqrt(plan.kp) * diff, s.weights)
 
 
+# The built-in statistics depend on a draw only through its block counts:
+# ``evaluator(s, plan)`` returns ``evaluate(counts)``, mapping a ``(B, k)``
+# count matrix to the ``B`` replicate values, like the V-statistic and CvM
+# evaluators in :mod:`blockboot.vmstat`.
+
+
 class MeanStatistic:
     """The centered, scaled bootstrap mean itself, as a grid function.
 
-    Bootstrap distributions built from this statistic hold ``(B, d)`` vector
-    replicates; for scalar samples, column 0 is the signed statistic.  The
-    ``bind`` fast path skips intermediate sample objects and produces values
-    identical to ``bootstrap_mean_statistic`` on the same draws.
+    Replicates are ``(B, d)`` rows of ``sqrt(kp) * (mean(star) - mean of the
+    first kp observations)``, as :func:`bootstrap_mean_statistic` gives on
+    the assembled sample; for scalar samples, column 0 is the signed
+    statistic.
     """
 
     statistic_id = "mean"
 
-    def __call__(self, s: HilbertSample, star: HilbertSample, plan: BlockPlan) -> GridFunction:
-        return bootstrap_mean_statistic(s, star, plan)
-
-    def bind(self, s: HilbertSample, plan: BlockPlan):
+    def evaluator(self, s: HilbertSample, plan: BlockPlan):
         plan.require_sample(s)
-        center = s.values[: plan.kp].mean(axis=0)
         root_kp = math.sqrt(plan.kp)
-
-        def bound(idx: np.ndarray) -> np.ndarray:
-            return root_kp * (_gather(s, plan, idx).mean(axis=0) - center)
-
-        return bound
+        return lambda counts: root_kp * block_mean_deviations(s, plan, counts)
 
 
 class MeanNormStatistic:
-    """Norm of the centered, scaled bootstrap mean.
-
-    Bootstrap distributions built from this statistic skip the construction
-    of intermediate sample objects; the replicate values are identical to
-    ``norm(bootstrap_mean_statistic(...))`` on the same draws.
-    """
+    """Norm of the centered, scaled bootstrap mean, one float per replicate."""
 
     statistic_id = "mean-norm"
 
-    def __call__(self, s: HilbertSample, star: HilbertSample, plan: BlockPlan) -> float:
-        return norm(bootstrap_mean_statistic(s, star, plan))
-
-    def bind(self, s: HilbertSample, plan: BlockPlan):
+    def evaluator(self, s: HilbertSample, plan: BlockPlan):
         plan.require_sample(s)
-        leading = s.values[: plan.kp]
-        center = leading.mean(axis=0)
-        weights = s.weights
         root_kp = math.sqrt(plan.kp)
 
-        def bound(idx: np.ndarray) -> float:
-            diff = _gather(s, plan, idx).mean(axis=0) - center
-            return float(root_kp * np.sqrt(np.sum(diff * diff * weights)))
+        def evaluate(counts: np.ndarray) -> np.ndarray:
+            dev = block_mean_deviations(s, plan, counts)
+            return root_kp * np.sqrt(np.sum(dev * dev * s.weights, axis=1))
 
-        return bound
+        return evaluate
 
 
 class LongRunVarianceStatistic:
-    """Long-run variance estimate recomputed on each bootstrap sample."""
+    """:func:`long_run_variance_estimate` of each bootstrap sample.
+
+    Star blocks are whole sample blocks, so with ``S_a`` the block sums
+    centered at the leading mean and ``c`` a row of counts the estimate is
+    ``(sum_a c_a ||S_a||^2 - ||sum_a c_a S_a||^2 / k) / kp``.
+    """
 
     statistic_id = "lrv"
 
-    def __call__(self, s: HilbertSample, star: HilbertSample, plan: BlockPlan) -> float:
-        star_plan = BlockPlan(n=star.n, p=plan.p, dyadic_freeze=plan.dyadic_freeze)
-        return long_run_variance_estimate(star, star_plan)
+    def evaluator(self, s: HilbertSample, plan: BlockPlan):
+        sums = _centered_block_sums(s, plan)
+        normsq = np.sum(sums * sums * s.weights, axis=1)
+
+        def evaluate(counts: np.ndarray) -> np.ndarray:
+            c = counts.astype(np.float64)
+            total = np.einsum("bk,kd->bd", c, sums, optimize=False)
+            spread = (np.einsum("bk,k->b", c, normsq, optimize=False)
+                      - np.sum(total * total * s.weights, axis=1) / plan.k)
+            return np.maximum(spread, 0.0) / plan.kp
+
+        return evaluate
+
+
+_COUNT_STATISTICS = (MeanStatistic, MeanNormStatistic, LongRunVarianceStatistic)
 
 
 @dataclass(frozen=True)
@@ -242,6 +255,23 @@ class BootstrapDistribution:
         return self.replicates.ndim == 1
 
 
+def _callable_replicates(s: HilbertSample, plan: BlockPlan, statistic,
+                         idx: np.ndarray) -> np.ndarray:
+    """``statistic(s, star, plan)`` on the sample assembled from each row of ``idx``."""
+    values = []
+    for r, row in enumerate(idx):
+        try:
+            values.append(statistic(s, _resample(s, plan, row), plan))
+        except Exception as exc:
+            exc.args = (f"replicate {r}: {exc}",)
+            raise
+    if isinstance(values[0], GridFunction):
+        return np.stack([v.values for v in values])
+    if isinstance(values[0], np.ndarray) and values[0].ndim == 1:
+        return np.stack(values)
+    return np.asarray(values, dtype=np.float64)
+
+
 def bootstrap_replicate(s: HilbertSample, plan: BlockPlan, statistic, seed: int, r: int):
     """Value of ``statistic`` on the ``r``-th bootstrap draw.
 
@@ -249,13 +279,10 @@ def bootstrap_replicate(s: HilbertSample, plan: BlockPlan, statistic, seed: int,
     so single replicates can be recomputed, skipped, or distributed across
     workers without affecting any other replicate.
     """
-    rng = derive_stream(seed, r)
-    idx = _draw_block_indices(plan, rng)
-    bound = statistic.bind(s, plan) if hasattr(statistic, "bind") else None
-    if bound is not None:
-        return bound(idx)
-    star = HilbertSample(s.grid, s.weights, _gather(s, plan, idx))
-    return statistic(s, star, plan)
+    idx = _draw_block_indices(plan, derive_stream(seed, r))
+    if isinstance(statistic, _COUNT_STATISTICS):
+        return statistic.evaluator(s, plan)(counts_from_indices(idx, plan.k))[0]
+    return statistic(s, _resample(s, plan, idx), plan)
 
 
 def bootstrap_distribution(s: HilbertSample, plan: BlockPlan, B: int, statistic,
@@ -270,10 +297,11 @@ def bootstrap_distribution(s: HilbertSample, plan: BlockPlan, B: int, statistic,
         Block layout used for every draw.
     B : int
         Number of replicates.
-    statistic : callable
-        ``statistic(s, star, plan)`` returning a float or a
-        :class:`GridFunction`.  Objects exposing ``bind(s, plan)`` are used
-        through the bound fast path.
+    statistic : MeanStatistic, MeanNormStatistic, LongRunVarianceStatistic or callable
+        The built-in statistics are evaluated on the ``(B, k)`` block
+        counts of all draws at once.  Any other callable is called as
+        ``statistic(s, star, plan)`` on each assembled bootstrap sample
+        ``star`` and returns a float or a :class:`GridFunction`.
     seed : int
         Master seed; replicate ``r`` uses ``derive_stream(seed, r)``.
     statistic_id : str, optional
@@ -286,34 +314,18 @@ def bootstrap_distribution(s: HilbertSample, plan: BlockPlan, B: int, statistic,
         Scalar replicates as a ``(B,)`` array, grid-function replicates as a
         ``(B, d)`` matrix with the grid and weights attached.
     """
-    if B < 1:
-        raise EmptyInputError("need B >= 1 bootstrap replicates")
     plan.require_sample(s)
     if statistic_id is None:
         statistic_id = getattr(statistic, "statistic_id", None) or getattr(
             statistic, "__name__", "statistic"
         )
-    bound = statistic.bind(s, plan) if hasattr(statistic, "bind") else None
-    values = []
-    for r, rng in replicate_streams(seed, B):
-        try:
-            idx = _draw_block_indices(plan, rng)
-            if bound is not None:
-                value = bound(idx)
-            else:
-                star = HilbertSample(s.grid, s.weights, _gather(s, plan, idx))
-                value = statistic(s, star, plan)
-        except Exception as exc:
-            exc.args = (f"replicate {r}: {exc}",)
-            raise
-        values.append(value)
-    first = values[0]
-    if isinstance(first, GridFunction):
-        replicates = np.stack([v.values for v in values])
-    elif isinstance(first, np.ndarray) and first.ndim == 1:
-        replicates = np.stack(values)
+    idx = _replicate_block_indices(plan, seed, B)
+    if isinstance(statistic, _COUNT_STATISTICS):
+        replicates = statistic.evaluator(s, plan)(counts_from_indices(idx, plan.k))
     else:
-        return BootstrapDistribution(np.asarray(values, dtype=np.float64), B, seed, statistic_id)
+        replicates = _callable_replicates(s, plan, statistic, idx)
+    if replicates.ndim == 1:
+        return BootstrapDistribution(replicates, B, seed, statistic_id)
     return BootstrapDistribution(replicates, B, seed, statistic_id,
                                  grid=s.grid, weights=s.weights)
 
@@ -336,12 +348,7 @@ def block_counts_per_replicate(plan: BlockPlan, seed: int, B: int, *tail: int) -
     ``derive_stream(seed, r, *tail)``, exactly the draw
     :func:`draw_bootstrap_sample` would make from the same stream.
     """
-    if B < 1:
-        raise EmptyInputError("need B >= 1 bootstrap replicates")
-    idx = np.empty((B, plan.k), dtype=np.int64)
-    for r, rng in replicate_streams(seed, B, *tail):
-        idx[r] = _draw_block_indices(plan, rng)
-    return counts_from_indices(idx, plan.k)
+    return counts_from_indices(_replicate_block_indices(plan, seed, B, *tail), plan.k)
 
 
 def block_mean_deviations(s: HilbertSample, plan: BlockPlan, counts: np.ndarray) -> np.ndarray:
@@ -370,6 +377,11 @@ def empirical_quantile(values: np.ndarray, q: float) -> float:
     return float(np.partition(values, m - 1)[m - 1])
 
 
+def _check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level}")
+
+
 def decide(observed: float, replicates: np.ndarray, level: float) -> dict:
     """Critical value, finite-B p-value and decision of a bootstrap test.
 
@@ -379,16 +391,24 @@ def decide(observed: float, replicates: np.ndarray, level: float) -> dict:
     exactly when ``#{replicates >= observed} <= B - m``.  All values returned
     are plain Python scalars.
     """
+    _check_level(level)
     observed = float(observed)
     if not math.isfinite(observed):
         raise NonFiniteStatisticError(f"observed statistic is {observed}")
     replicates = np.asarray(replicates, dtype=np.float64)
-    critical = empirical_quantile(replicates, 1.0 - level)
+    B = replicates.size
+    if B < 1:
+        raise EmptyInputError("cannot decide on zero replicates")
+    # ``1 - level`` rounds to 1 for levels below ~1e-16, so the rank comes
+    # from ``B - B*level``; the midpoint level (m - 1/2)/B lies in (0, 1) and
+    # selects exactly the m-th order statistic.
+    m = max(1, _snap_ceil(B - B * level))
+    critical = empirical_quantile(replicates, (m - 0.5) / B)
     exceed = int(np.count_nonzero(replicates >= observed))
     return {
         "statistic": observed,
         "critical_value": critical,
-        "p_value": (1.0 + exceed) / (replicates.size + 1.0),
+        "p_value": (1.0 + exceed) / (B + 1.0),
         "reject": observed > critical,
     }
 
@@ -422,15 +442,20 @@ def long_run_variance_estimate(s: HilbertSample, plan: BlockPlan) -> float:
     return float(np.sum(normsq) / plan.kp)
 
 
-def long_run_covariance_projection(s: HilbertSample, plan: BlockPlan,
-                                   x: GridFunction, y: GridFunction) -> float:
-    """Estimated long-run covariance form ``<Vx, y>`` from block sums."""
-    if not s.same_space(x) or not s.same_space(y):
-        raise PlanMismatchError("projection directions live on a different space")
-    sums = _centered_block_sums(s, plan)
-    px = np.sum(sums * (x.values * s.weights), axis=1)
-    py = np.sum(sums * (y.values * s.weights), axis=1)
-    return float(np.sum(px * py) / plan.kp)
+def two_sample_statistics(x: HilbertSample, y: HilbertSample, plan_x: BlockPlan,
+                          plan_y: BlockPlan, counts_x: np.ndarray,
+                          counts_y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Observed ``||mean(X) - mean(Y)||`` and its replicates from block counts.
+
+    Means are over the first ``kp`` observations of each sample; replicate
+    ``r`` resamples X by row ``r`` of ``counts_x`` and Y by row ``r`` of
+    ``counts_y``, each recentered at its own mean.
+    """
+    diff = x.values[: plan_x.kp].mean(axis=0) - y.values[: plan_y.kp].mean(axis=0)
+    observed = float(np.sqrt(np.sum(diff * diff * x.weights)))
+    delta = (block_mean_deviations(x, plan_x, counts_x)
+             - block_mean_deviations(y, plan_y, counts_y))
+    return observed, np.sqrt(np.sum(delta * delta * x.weights, axis=1))
 
 
 def two_sample_test(x: HilbertSample, y: HilbertSample, plan_x: BlockPlan,
@@ -450,13 +475,8 @@ def two_sample_test(x: HilbertSample, y: HilbertSample, plan_x: BlockPlan,
     plan_y.require_sample(y)
     if not x.same_space(y.element(0)):
         raise PlanMismatchError("samples live on different spaces")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
-    mean_x = x.values[: plan_x.kp].mean(axis=0)
-    mean_y = y.values[: plan_y.kp].mean(axis=0)
-    diff = mean_x - mean_y
-    observed = float(np.sqrt(np.sum(diff * diff * x.weights)))
-    delta = (block_mean_deviations(x, plan_x, block_counts_per_replicate(plan_x, seed, B))
-             - block_mean_deviations(y, plan_y, block_counts_per_replicate(plan_y, seed, B, 1)))
-    values = np.sqrt(np.sum(delta * delta * x.weights, axis=1))
+    _check_level(level)
+    observed, values = two_sample_statistics(
+        x, y, plan_x, plan_y, block_counts_per_replicate(plan_x, seed, B),
+        block_counts_per_replicate(plan_y, seed, B, 1))
     return {**decide(observed, values, level), "replicates": values}

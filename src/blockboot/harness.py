@@ -24,10 +24,11 @@ from scipy import stats as _sstats
 from . import __version__
 from .bootstrap import (
     BlockPlan,
+    MeanNormStatistic,
     block_length_schedule,
-    block_mean_deviations,
     counts_from_indices,
     decide,
+    two_sample_statistics,
 )
 from .bootstrap import empirical_quantile  # noqa: F401  (traced by perfbench/tracing.py)
 from .dists import Distribution, distribution_from_token, normal, standardized_uniform, student_t
@@ -234,10 +235,6 @@ def _draw_counts(plan: BlockPlan, rng: np.random.Generator, B: int) -> np.ndarra
     return counts_from_indices(idx, plan.k)
 
 
-def _weighted_norms(delta: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(delta * delta * weights, axis=1))
-
-
 def _record(r: int, observed: float, boot: np.ndarray, level: float) -> ReplicationRecord:
     decision = decide(observed, boot, level)
     return ReplicationRecord(
@@ -285,7 +282,7 @@ def _mean_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
     root_kp = math.sqrt(plan.kp)
 
     counts = _draw_counts(plan, derive_stream(cfg.master_seed, r, _TAG_BOOT), cfg.replicates)
-    boot = root_kp * _weighted_norms(block_mean_deviations(s, plan, counts), s.weights)
+    boot = MeanNormStatistic().evaluator(s, plan)(counts)
 
     # All built-in processes are centered, so the truth is the zero function.
     observed = float(root_kp * np.sqrt(np.sum(center * center * s.weights)))
@@ -303,18 +300,10 @@ def _two_sample_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
     y = _generate(cfg, process_y, derive_stream(cfg.master_seed, r, _TAG_DATA_Y))
     if cfg.mean_shift != 0.0:
         y = HilbertSample(y.grid, y.weights, y.values + cfg.mean_shift)
-
-    center_x = x.values[: plan.kp].mean(axis=0)
-    center_y = y.values[: plan.kp].mean(axis=0)
-
     counts_x = _draw_counts(plan, derive_stream(cfg.master_seed, r, _TAG_BOOT), cfg.replicates)
     counts_y = _draw_counts(plan, derive_stream(cfg.master_seed, r, _TAG_BOOT_Y),
                             cfg.replicates)
-    delta = block_mean_deviations(x, plan, counts_x) - block_mean_deviations(y, plan, counts_y)
-    boot = _weighted_norms(delta, x.weights)
-
-    diff = center_x - center_y
-    observed = float(np.sqrt(np.sum(diff * diff * x.weights)))
+    observed, boot = two_sample_statistics(x, y, plan, plan, counts_x, counts_y)
     return _record(r, observed, boot, cfg.level), boot
 
 

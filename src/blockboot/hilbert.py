@@ -140,22 +140,6 @@ class GridFunction:
         if not self.same_space(other):
             raise DomainMismatchError("operands live on different grids or weights")
 
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._require_space(other)
-        return GridFunction(self.grid, self.values + other.values, self.weights)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._require_space(other)
-        return GridFunction(self.grid, self.values - other.values, self.weights)
-
-    def __neg__(self) -> "GridFunction":
-        return GridFunction(self.grid, -self.values, self.weights)
-
-    def __mul__(self, c: float) -> "GridFunction":
-        return GridFunction(self.grid, self.values * float(c), self.weights)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class HilbertSample:
@@ -187,19 +171,6 @@ class HilbertSample:
         values = np.array(values, copy=True)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_functions(cls, elements) -> "HilbertSample":
-        """Build a sample from grid functions sharing one grid and weights."""
-        elements = list(elements)
-        if not elements:
-            raise EmptyInputError("a sample must contain at least one observation")
-        first = elements[0]
-        for el in elements[1:]:
-            if not first.same_space(el):
-                raise DomainMismatchError("all elements must share grid and weights")
-        values = np.stack([el.values for el in elements])
-        return cls(first.grid, first.weights, values)
 
     @classmethod
     def from_scalars(cls, x) -> "HilbertSample":
@@ -264,15 +235,3 @@ def sample_mean(s: HilbertSample) -> GridFunction:
         raise EmptyInputError("cannot average an empty sample")
     return GridFunction(s.grid, s.values.mean(axis=0), s.weights)
 
-
-def centered_block_sum(s: HilbertSample, block: range, center: GridFunction) -> GridFunction:
-    """Sum of ``X_j - center`` over the 0-based index range ``block``."""
-    start, stop = block.start, block.stop
-    if block.step != 1:
-        raise IndexError("block must be a contiguous range with step 1")
-    if not (0 <= start < stop <= s.n):
-        raise IndexError(f"block {start}:{stop} out of range for a length-{s.n} sample")
-    if not s.same_space(center):
-        raise DomainMismatchError("center lives on a different grid or weights")
-    total = s.values[start:stop].sum(axis=0) - (stop - start) * center.values
-    return GridFunction(s.grid, total, s.weights)

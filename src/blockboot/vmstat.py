@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bootstrap import BlockPlan, block_counts_per_replicate, decide
+from .bootstrap import BlockPlan, _check_level, block_counts_per_replicate, decide
 from .bootstrap import empirical_quantile  # noqa: F401  (traced by perfbench/tracing.py)
 from .exceptions import (
     ConfigError,
@@ -382,8 +382,7 @@ def vstat_test(s: HilbertSample, h: Kernel, plan: BlockPlan, B: int, seed: int,
     Critical values come from ``B`` bootstrap replicates of the three-term
     ``kp * V*``; replicate ``r`` draws from ``derive_stream(seed, r)``.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
+    _check_level(level)
     plan.require_sample(s)
     observed = s.n * v_statistic(s, h)
     evaluator = vstat_bootstrap_evaluator(s, plan, h)
@@ -394,8 +393,7 @@ def vstat_test(s: HilbertSample, h: Kernel, plan: BlockPlan, B: int, seed: int,
 def cvm_test(s: HilbertSample, spec: CvmSpec, plan: BlockPlan, B: int, seed: int,
              level: float) -> dict:
     """Bootstrap goodness-of-fit test based on ``n`` times the CvM distance."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
+    _check_level(level)
     plan.require_sample(s)
     observed = s.n * cvm_statistic(s, spec)
     evaluator = cvm_bootstrap_evaluator(s, plan, spec)

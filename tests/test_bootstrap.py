@@ -7,14 +7,12 @@ import pytest
 from blockboot import (
     BlockPlan,
     HilbertSample,
-    GridFunction,
     block_length_schedule,
     bootstrap_distribution,
     bootstrap_mean_statistic,
     bootstrap_quantile,
     bootstrap_replicate,
     draw_bootstrap_sample,
-    long_run_covariance_projection,
     long_run_variance_estimate,
     two_sample_test,
 )
@@ -233,19 +231,6 @@ class TestBootstrapDistribution:
         for r in (0, 13, 63):
             assert dist.replicates[r] == bootstrap_replicate(s, plan, stat, 42, r)
 
-    def test_bound_path_matches_generic_path(self):
-        rng = derive_stream(8)
-        s = scalar_sample(rng.standard_normal(24))
-        plan = BlockPlan(n=24, p=4)
-        fast = bootstrap_distribution(s, plan, 50, MeanNormStatistic(), seed=5)
-        slow = bootstrap_distribution(
-            s, plan, 50,
-            lambda a, b, c: float(np.sqrt(np.sum(
-                bootstrap_mean_statistic(a, b, c).values ** 2 * a.weights))),
-            seed=5,
-        )
-        assert np.array_equal(fast.replicates, slow.replicates)
-
     def test_statistic_errors_carry_replicate_index(self):
         s = scalar_sample(np.arange(6.0))
         plan = BlockPlan(n=6, p=2)
@@ -321,6 +306,17 @@ class TestDecide:
         with pytest.raises(NonFiniteStatisticError):
             decide(1.0, values, 0.05)
 
+    def test_level_below_double_epsilon(self):
+        # 1 - 1e-17 rounds to 1.0; the rank is still ceil(10 * (1 - level)) = 10.
+        result = decide(1.0, np.arange(10.0), 1e-17)
+        assert result == {"statistic": 1.0, "critical_value": 9.0,
+                          "p_value": 10.0 / 11.0, "reject": False}
+
+    @pytest.mark.parametrize("level", [0.0, 1.0])
+    def test_level_bounds(self, level):
+        with pytest.raises(ValueError, match="level must lie in"):
+            decide(1.0, np.arange(10.0), level)
+
 
 def _scalar_dist(values):
     from blockboot.bootstrap import BootstrapDistribution
@@ -356,38 +352,6 @@ class TestLongRunVariance:
         shifted = scalar_sample(values + 3.5)
         plan = BlockPlan(n=1024, p=8)
         assert long_run_variance_estimate(s, plan) == long_run_variance_estimate(shifted, plan)
-
-
-class TestLongRunCovarianceProjection:
-    def test_zero_direction(self):
-        rng = derive_stream(34)
-        s = scalar_sample(rng.standard_normal(50))
-        plan = BlockPlan(n=50, p=5)
-        zero = GridFunction.scalar(0.0)
-        one = GridFunction.scalar(1.0)
-        assert long_run_covariance_projection(s, plan, zero, one) == 0.0
-
-    def test_diagonal_is_nonnegative_and_symmetric(self):
-        rng = derive_stream(35)
-        grid = np.linspace(0, 1, 8)
-        from blockboot import trapezoid_weights
-
-        w = trapezoid_weights(grid)
-        s = HilbertSample(grid, w, rng.standard_normal((40, 8)))
-        plan = BlockPlan(n=40, p=4)
-        x = GridFunction(grid, rng.standard_normal(8), w)
-        y = GridFunction(grid, rng.standard_normal(8), w)
-        assert long_run_covariance_projection(s, plan, x, x) >= 0.0
-        assert long_run_covariance_projection(s, plan, x, y) == \
-            long_run_covariance_projection(s, plan, y, x)
-
-    def test_scalar_unit_direction_reduces_to_variance_estimate(self):
-        rng = derive_stream(36)
-        s = scalar_sample(rng.standard_normal(60))
-        plan = BlockPlan(n=60, p=6)
-        one = GridFunction.scalar(1.0)
-        assert long_run_covariance_projection(s, plan, one, one) == \
-            long_run_variance_estimate(s, plan)
 
 
 class TestTwoSampleTest:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -134,6 +135,27 @@ class TestBootstrapCommand:
         assert payload["sample_estimate"] > 0.0
         lines = raw.read_text().strip().splitlines()
         assert lines[0] == "replicate,value" and len(lines) == 51
+
+    def test_lrv_output_is_independent_of_thread_count(self, tmp_path, data_file):
+        config = tmp_path / "fun.ini"
+        config.write_text(FUNCTIONAL_INI)
+        functional = tmp_path / "fun.csv"
+        assert run_cli("generate", "--config", str(config), "--n", "200",
+                       "--out", str(functional)) == 0
+        outputs = {}
+        for data in (data_file, str(functional)):
+            for threads in ("1", "4"):
+                env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+                out = tmp_path / f"lrv-{threads}.json"
+                raw = tmp_path / f"lrv-{threads}.csv"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "blockboot.cli", "bootstrap", "--data", data,
+                     "--statistic", "lrv", "--block-length", "5", "--replicates", "300",
+                     "--seed", "9", "--out", str(out), "--raw-out", str(raw)],
+                    capture_output=True, text=True, env=env)
+                assert proc.returncode == 0, proc.stderr
+                outputs[threads] = (out.read_bytes(), raw.read_bytes())
+            assert outputs["1"] == outputs["4"]
 
     def test_auto_schedule_default(self, tmp_path, data_file):
         out = tmp_path / "auto.json"

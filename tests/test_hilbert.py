@@ -4,7 +4,6 @@ import pytest
 from blockboot import (
     GridFunction,
     HilbertSample,
-    centered_block_sum,
     inner_product,
     norm,
     read_sample,
@@ -122,13 +121,13 @@ class TestSampleMean:
         grid, w = uniform_space(17)
         rng = derive_stream(19)
         f = random_function(rng, grid, w)
-        s = HilbertSample.from_functions([f, f, f, f])
+        s = HilbertSample(grid, w, np.tile(f.values, (4, 1)))
         assert np.array_equal(sample_mean(s).values, f.values)
 
     def test_opposite_elements_cancel(self):
         grid, w = uniform_space(17)
-        f = GridFunction(grid, np.sin(grid * 3.0), w)
-        s = HilbertSample.from_functions([f, -f])
+        f = np.sin(grid * 3.0)
+        s = HilbertSample(grid, w, np.stack([f, -f]))
         assert np.all(sample_mean(s).values == 0.0)
 
     def test_scalar_arithmetic_mean(self):
@@ -150,28 +149,6 @@ class TestSampleMean:
             HilbertSample.from_scalars([])
 
 
-class TestCenteredBlockSum:
-    def test_centering_at_own_mean_gives_zero(self):
-        s = HilbertSample.from_scalars([1.0, 2.0, 3.0])
-        total = centered_block_sum(s, range(0, 3), sample_mean(s))
-        assert np.all(total.values == 0.0)
-
-    def test_singleton_block_with_zero_center(self):
-        s = HilbertSample.from_scalars([4.0, 5.0])
-        zero = GridFunction.scalar(0.0)
-        assert centered_block_sum(s, range(0, 1), zero).values[0] == 4.0
-
-    def test_scalar_example(self):
-        s = HilbertSample.from_scalars([1.0, 2.0, 3.0, 4.0])
-        out = centered_block_sum(s, range(0, 2), GridFunction.scalar(2.5))
-        assert out.values[0] == -2.0
-
-    def test_out_of_range_block(self):
-        s = HilbertSample.from_scalars([1.0, 2.0])
-        with pytest.raises(IndexError):
-            centered_block_sum(s, range(1, 3), GridFunction.scalar(0.0))
-
-
 class TestValidation:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
@@ -190,10 +167,9 @@ class TestValidation:
             GridFunction([0.0, 1.0], [1.0], [0.5, 0.5])
 
     def test_sample_elements_must_share_space(self):
-        f = GridFunction([0.0, 1.0], [1.0, 1.0], [0.5, 0.5])
-        g = GridFunction([0.0, 2.0], [1.0, 1.0], [1.0, 1.0])
-        with pytest.raises(DomainMismatchError):
-            HilbertSample.from_functions([f, g])
+        # Every row of a sample is an element on the sample's own grid.
+        with pytest.raises(ValueError, match="value rows must match the grid length"):
+            HilbertSample([0.0, 1.0], [0.5, 0.5], np.ones((3, 3)))
 
     def test_values_are_immutable(self):
         f = GridFunction([0.0, 1.0], [1.0, 1.0], [0.5, 0.5])
