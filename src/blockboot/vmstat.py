@@ -347,27 +347,46 @@ def vstat_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, h: Kernel):
     return evaluator
 
 
-def _block_ecdf_matrix(x: np.ndarray, plan: BlockPlan, grid: np.ndarray) -> np.ndarray:
-    G = np.empty((plan.k, grid.size))
-    for b in range(plan.k):
-        block = np.sort(x[b * plan.p : (b + 1) * plan.p])
-        G[b] = np.searchsorted(block, grid, side="right")
-    return G / plan.p
-
-
 def cvm_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, spec: CvmSpec):
     """Closure mapping block-count matrices to bootstrap distance values.
 
     ``evaluator(counts)`` returns the ``(B,)`` vector of ``kp``-scaled
     weighted squared CDF distances; in exact arithmetic each value equals
     :func:`bootstrap_cvm_statistic` on the sample assembled from the draw.
+
+    The values depend on the draw only through the ``k x k`` Gram ``M`` of
+    the block ECDFs.  Since ``1{x <= t} 1{y <= t} = 1{max(x, y) <= t}``,
+
+        M[a, b] = (1/p^2) sum_{i in B_a, j in B_b} Wtail(max(x_i, x_j)),
+
+    where ``Wtail(x)`` is the weight of the grid points ``>= x``.  After one
+    stable sort of the ``kp`` leading points the maximum of a pair is its
+    later member, so ``M`` follows from per-block prefix counts in
+    ``O(kp log kp + kp k)`` operations, whatever the grid size.  The sums
+    avoid BLAS, so ``M`` does not depend on the thread count.
     """
     x = _scalar_values(s)
     if x.size < plan.kp:
         raise PlanMismatchError(f"sample is shorter than kp={plan.kp}")
-    G = _block_ecdf_matrix(x, plan, spec.grid)
-    M = np.einsum("bg,cg->bc", G * spec.weights, G, optimize=False)
-    scale = plan.p / plan.k
+    k, p, kp = plan.k, plan.p, plan.kp
+    lead = x[:kp]
+    order = np.argsort(lead, kind="stable")
+    tail_mass = np.append(np.cumsum(spec.weights[::-1])[::-1], 0.0)
+    wtail = tail_mass[np.searchsorted(spec.grid, lead, side="left")]
+    # Row r: how many points of each block sit at sorted positions <= r.
+    prefix = np.zeros((kp, k))
+    prefix[np.arange(kp), order // p] = 1.0
+    np.cumsum(prefix, axis=0, out=prefix)
+    # Row i, back in sample order: Wtail(x_i) times, per block, the points
+    # sorted at or before x_i, i.e. the pairs whose maximum is x_i.
+    pairs = prefix[np.argsort(order)]
+    pairs *= wtail[:, None]
+    starts = np.arange(0, kp, p)
+    # Pairs i = j are counted in both A and A^T, so D is taken off once.
+    A = np.add.reduceat(pairs, starts, axis=0)
+    D = np.add.reduceat(wtail, starts)
+    M = (A + A.T - np.diag(D)) / (p * p)
+    scale = p / k
 
     def evaluator(counts: np.ndarray) -> np.ndarray:
         return scale * _quadratic_forms(M, counts)

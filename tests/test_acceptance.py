@@ -7,7 +7,6 @@ criteria (8 and 9) dominate the runtime.
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -42,6 +41,7 @@ from blockboot.harness import (
 )
 from blockboot.rng import derive_stream
 from blockboot.vmstat import kernel_from_token
+from child_env import child_env
 from oracles import (
     all_block_selections,
     ar1_long_run_variance,
@@ -269,9 +269,7 @@ def test_criterion_10_cli_determinism(announce, tmp_path):
     for label, threads, workers in (
         ("t1", "1", "1"), ("t4", "4", "3"), ("t1-again", "1", "1"),
     ):
-        env = dict(os.environ)
-        env["OMP_NUM_THREADS"] = threads
-        env["OPENBLAS_NUM_THREADS"] = threads
+        env = child_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
         out_dir = tmp_path / f"mc-{label}"
         data = tmp_path / f"data-{label}.csv"
         boot = tmp_path / f"boot-{label}.json"

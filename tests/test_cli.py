@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -10,6 +9,7 @@ import pytest
 import blockboot.harness as harness
 from blockboot.cli import main
 from blockboot.io import read_sample
+from child_env import child_env
 
 
 PROCESS_INI = """\
@@ -136,27 +136,6 @@ class TestBootstrapCommand:
         lines = raw.read_text().strip().splitlines()
         assert lines[0] == "replicate,value" and len(lines) == 51
 
-    def test_lrv_output_is_independent_of_thread_count(self, tmp_path, data_file):
-        config = tmp_path / "fun.ini"
-        config.write_text(FUNCTIONAL_INI)
-        functional = tmp_path / "fun.csv"
-        assert run_cli("generate", "--config", str(config), "--n", "200",
-                       "--out", str(functional)) == 0
-        outputs = {}
-        for data in (data_file, str(functional)):
-            for threads in ("1", "4"):
-                env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
-                out = tmp_path / f"lrv-{threads}.json"
-                raw = tmp_path / f"lrv-{threads}.csv"
-                proc = subprocess.run(
-                    [sys.executable, "-m", "blockboot.cli", "bootstrap", "--data", data,
-                     "--statistic", "lrv", "--block-length", "5", "--replicates", "300",
-                     "--seed", "9", "--out", str(out), "--raw-out", str(raw)],
-                    capture_output=True, text=True, env=env)
-                assert proc.returncode == 0, proc.stderr
-                outputs[threads] = (out.read_bytes(), raw.read_bytes())
-            assert outputs["1"] == outputs["4"]
-
     def test_auto_schedule_default(self, tmp_path, data_file):
         out = tmp_path / "auto.json"
         assert run_cli("bootstrap", "--data", data_file, "--replicates", "10",
@@ -273,7 +252,35 @@ class TestInstalledEntryPoint:
     def test_module_invocation_version(self):
         proc = subprocess.run(
             [sys.executable, "-m", "blockboot.cli", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0
         assert "blockboot" in proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["bootstrap", "--statistic", "lrv", "--raw-out", "raw.csv"],
+        ["cvm-test", "--dist", "normal:0,1.1547"],
+    ], ids=["lrv", "cvm-test"])
+    def test_output_is_independent_of_thread_count(self, tmp_path, data_file, argv):
+        inputs = [data_file]
+        if argv[0] == "bootstrap":
+            config = tmp_path / "fun.ini"
+            config.write_text(FUNCTIONAL_INI)
+            functional = tmp_path / "fun.csv"
+            assert run_cli("generate", "--config", str(config), "--n", "200",
+                           "--out", str(functional)) == 0
+            inputs.append(str(functional))
+        for data in inputs:
+            outputs = {}
+            for threads in ("1", "4"):
+                out_dir = tmp_path / f"threads-{threads}"
+                out_dir.mkdir(exist_ok=True)
+                proc = subprocess.run(
+                    [sys.executable, "-m", "blockboot.cli", *argv, "--data", data,
+                     "--block-length", "5", "--replicates", "300", "--seed", "9",
+                     "--out", "out.json"],
+                    capture_output=True, text=True, cwd=out_dir,
+                    env=child_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads))
+                assert proc.returncode == 0, proc.stderr
+                outputs[threads] = {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
+            assert outputs["1"] == outputs["4"]

@@ -34,7 +34,7 @@ from blockboot.bootstrap import (
     block_counts_per_replicate,
     decide,
 )
-from blockboot.dists import normal
+from blockboot.dists import normal, uniform
 from blockboot.rng import derive_stream, replicate_streams
 from blockboot.vmstat import cvm_bootstrap_evaluator, kernel_from_token, vstat_bootstrap_evaluator
 
@@ -54,10 +54,15 @@ def test_replicate_streams_match_derived_streams(seed, B, tail):
 
 
 @st.composite
-def sample_and_plan(draw, d):
+def sample_and_plan(draw, d, points=None):
+    """Standard normal values, or values drawn from ``points`` when given."""
     n = draw(st.integers(1, 30))
     p = draw(st.integers(1, n))
-    values = derive_stream(draw(SEEDS)).standard_normal((n, d))
+    if points is None:
+        values = derive_stream(draw(SEEDS)).standard_normal((n, d))
+    else:
+        values = np.array(draw(st.lists(st.sampled_from(points), min_size=n * d,
+                                        max_size=n * d))).reshape(n, d)
     grid = np.linspace(0.0, 1.0, d)
     weights = trapezoid_weights(grid) if d > 1 else np.ones(1)
     return HilbertSample(grid, weights, values), BlockPlan(n=n, p=p)
@@ -124,11 +129,20 @@ def test_vstat_evaluator_matches_assembled_samples(sp, B, seed, token):
     np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12)
 
 
-@settings(max_examples=40, deadline=None)
-@given(sp=sample_and_plan(1), B=st.integers(1, 8), seed=SEEDS)
-def test_cvm_evaluator_matches_assembled_samples(sp, B, seed):
-    s, plan = sp
-    null = normal(0.0, 1.0)
+CVM_CASES = st.one_of(
+    st.tuples(sample_and_plan(1), st.just(normal(0.0, 1.0))),
+    # Ties, sample points on the grid (including both ends of the support),
+    # and points below and above the support, where the tail weight is the
+    # full mass or 0.
+    st.tuples(sample_and_plan(1, points=(-0.5, 0.0, 0.25, 0.5, 1.0, 1.5)),
+              st.just(uniform(0.0, 1.0))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=CVM_CASES, B=st.integers(1, 8), seed=SEEDS)
+def test_cvm_evaluator_matches_assembled_samples(case, B, seed):
+    (s, plan), null = case
     spec = make_cvm_spec(null.cdf, null.support, null.weight_fn, sample=s, n_grid=256)
     values = cvm_bootstrap_evaluator(s, plan, spec)(block_counts_per_replicate(plan, seed, B))
     lead = s.restrict(plan.kp)
