@@ -8,9 +8,13 @@ V-statistic uses the three-term form
 which requires no spectral decomposition of the kernel and is a squared norm
 whenever the kernel is positive definite.
 
-Double sums larger than ``PAIR_SUM_CUTOFF`` per axis are evaluated in fixed
-row/column tiles whose partial sums are reduced in a fixed order, so results
-are deterministic for any thread count and memory stays bounded.
+Kernel meshes are tiled by a byte budget: they are evaluated in fixed tiles
+of at most ``TILE_BYTES`` per temporary, and the partial sums are reduced in a
+fixed order, so results are deterministic for any thread count and memory
+stays bounded.  A kernel that declares a finite-rank feature map
+``h(x, y) = Phi(x) . Phi(y)`` skips the meshes: its V-statistic is
+``||sum_i Phi(x_i)||^2 / n^2`` and its bootstrap values are ``||v S||^2 / kp``
+with ``S`` the block sums of ``Phi``, ``O(n + B k)`` work in all.
 """
 
 from __future__ import annotations
@@ -31,9 +35,8 @@ from .exceptions import (
 from .hilbert import HilbertSample, trapezoid_weights
 from .rng import derive_stream
 
-#: Dense meshes are used up to this many points per axis; beyond it the
-#: double sum switches to tiled evaluation.
-PAIR_SUM_CUTOFF = 4096
+#: Bytes of one float64 temporary in a tile of a kernel mesh.
+TILE_BYTES = 16 * 2**20
 
 _SYMMETRY_PROBES = 32
 _SYMMETRY_SEED = 0x5EED
@@ -47,6 +50,12 @@ class Kernel:
     on a fixed set of random pairs at construction; ``lipschitz`` and
     ``positive_definite`` are declared metadata and are not verified
     numerically.
+
+    ``features``, when given, maps a 1-D array of ``n`` points to an
+    ``(n, r)`` matrix ``Phi`` with ``h(x, y) = sum_l Phi_l(x) Phi_l(y)``; the
+    V- and U-statistics and the bootstrap evaluator then run in ``O(n + B k)``
+    instead of over kernel meshes.  It is checked against ``eval`` on the
+    symmetry probe pairs, and a mismatch raises :class:`ConfigError`.
     """
 
     name: str
@@ -54,6 +63,7 @@ class Kernel:
     symmetric: bool = True
     lipschitz: float | None = None
     positive_definite: bool = False
+    features: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if not self.symmetric:
@@ -66,11 +76,20 @@ class Kernel:
         scale = np.maximum(1.0, np.abs(a))
         if not np.all(np.abs(a - b) <= 1e-12 * scale):
             raise ConfigError(f"kernel {self.name!r} is not symmetric on probe pairs")
+        if self.features is None:
+            return
+        fx = np.asarray(self.features(x), dtype=np.float64)
+        fy = np.asarray(self.features(y), dtype=np.float64)
+        if fx.ndim != 2 or fx.shape[0] != x.size or fy.shape != fx.shape:
+            raise ConfigError(f"features of kernel {self.name!r} must map n points to (n, r)")
+        if not np.all(np.abs(np.sum(fx * fy, axis=1) - a) <= 1e-12 * scale):
+            raise ConfigError(f"features of kernel {self.name!r} disagree with eval on probe pairs")
 
 
 def product_kernel() -> Kernel:
     """``h(x, y) = x * y``; degenerate for centered data."""
-    return Kernel(name="product", eval=lambda x, y: x * y, positive_definite=True)
+    return Kernel(name="product", eval=lambda x, y: x * y, positive_definite=True,
+                  features=lambda x: x[:, None])
 
 
 def gaussian_kernel(bandwidth: float = 1.0) -> Kernel:
@@ -136,24 +155,32 @@ def _scalar_values(s: HilbertSample) -> np.ndarray:
     return s.scalars()
 
 
+def _tile_size(line: int) -> int:
+    """How many float64 lines of length ``line`` fill one tile; at least one."""
+    return max(1, TILE_BYTES // (8 * line))
+
+
 def _pair_sum(x: np.ndarray, y: np.ndarray, h: Kernel) -> float:
-    """Sum of ``h`` over the full ``len(x) x len(y)`` mesh, tiled when large."""
-    if x.size <= PAIR_SUM_CUTOFF and y.size <= PAIR_SUM_CUTOFF:
-        return float(np.sum(h.eval(x[:, None], y[None, :])))
-    tile = PAIR_SUM_CUTOFF // 2
-    partials = []
-    for i in range(0, x.size, tile):
-        xc = x[i : i + tile, None]
-        for j in range(0, y.size, tile):
-            partials.append(np.sum(h.eval(xc, y[None, j : j + tile])))
+    """Sum of ``h`` over the full ``len(x) x len(y)`` mesh, in row tiles."""
+    rows = _tile_size(y.size)
+    partials = [np.sum(h.eval(x[i : i + rows, None], y[None, :]))
+                for i in range(0, x.size, rows)]
     return float(np.sum(partials))
+
+
+def _total_pair_sum(x: np.ndarray, h: Kernel) -> float:
+    """``sum_{i,j} h(x_i, x_j)``; ``||sum_i Phi(x_i)||^2`` for a feature map."""
+    if h.features is None:
+        return _pair_sum(x, x, h)
+    total = np.sum(h.features(x), axis=0)
+    return float(np.sum(total * total))
 
 
 def v_statistic(s: HilbertSample, h: Kernel) -> float:
     """``(1/n^2) * sum_{i,j} h(X_i, X_j)`` over a scalar sample."""
     x = _scalar_values(s)
     n = x.size
-    return _pair_sum(x, x, h) / (n * n)
+    return _total_pair_sum(x, h) / (n * n)
 
 
 def u_statistic(s: HilbertSample, h: Kernel) -> float:
@@ -162,7 +189,7 @@ def u_statistic(s: HilbertSample, h: Kernel) -> float:
     n = x.size
     if n < 2:
         raise InsufficientSampleError("a U-statistic needs n >= 2")
-    total = _pair_sum(x, x, h)
+    total = _total_pair_sum(x, h)
     diagonal = float(np.sum(h.eval(x, x)))
     return (total - diagonal) / (n * (n - 1))
 
@@ -295,28 +322,23 @@ def degeneracy_diagnostic(s: HilbertSample, h: Kernel, probes) -> float:
     probes = np.asarray(probes, dtype=np.float64)
     if probes.ndim != 1 or probes.size == 0:
         raise ValueError("probes must be a nonempty 1-D array")
+    cols = _tile_size(probes.size)
     totals = np.zeros(probes.size)
-    for j in range(0, x.size, PAIR_SUM_CUTOFF):
-        totals = totals + h.eval(probes[:, None], x[None, j : j + PAIR_SUM_CUTOFF]).sum(axis=1)
+    for j in range(0, x.size, cols):
+        totals = totals + h.eval(probes[:, None], x[None, j : j + cols]).sum(axis=1)
     return float(np.max(np.abs(totals / x.size)))
 
 
 def _block_pair_sums(x: np.ndarray, plan: BlockPlan, h: Kernel) -> np.ndarray:
     """Kernel mass between block pairs: ``T[a, b] = sum_{i in B_a, j in B_b} h``."""
-    k, p = plan.k, plan.p
-    lead = x[: plan.kp]
-    if plan.kp <= PAIR_SUM_CUTOFF:
-        mesh = h.eval(lead[:, None], lead[None, :])
-        return mesh.reshape(k, p, k, p).sum(axis=(1, 3))
+    k, p, kp = plan.k, plan.p, plan.kp
+    lead = x[:kp]
+    blocks = _tile_size(p * kp)
     T = np.empty((k, k))
-    blocks_per_tile = max(1, (PAIR_SUM_CUTOFF // 2) // p)
-    for a in range(0, k, blocks_per_tile):
-        ah = min(a + blocks_per_tile, k)
-        rows = lead[a * p : ah * p, None]
-        for b in range(0, k, blocks_per_tile):
-            bh = min(b + blocks_per_tile, k)
-            chunk = h.eval(rows, lead[None, b * p : bh * p])
-            T[a:ah, b:bh] = chunk.reshape(ah - a, p, bh - b, p).sum(axis=(1, 3))
+    for a in range(0, k, blocks):
+        ah = min(a + blocks, k)
+        mesh = h.eval(lead[a * p : ah * p, None], lead[None, :])
+        T[a:ah] = mesh.reshape(ah - a, p, k, p).sum(axis=(1, 3))
     return T
 
 
@@ -334,12 +356,26 @@ def vstat_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, h: Kernel):
     block was drawn) returns the ``(B,)`` vector of ``kp * V*`` values.  In
     exact arithmetic each value equals ``kp * bootstrap_v_statistic`` on the
     sample assembled from the same draw.
+
+    The values are ``v^T T v / kp`` with ``v = counts - 1`` and ``T`` the
+    block-pair kernel sums.  With a feature map ``T = S S^T`` for the ``(k, r)``
+    block sums ``S`` of ``Phi``, so each value is ``||v S||^2 / kp``.  Both
+    reductions avoid BLAS, so the values do not depend on the thread count.
     """
     x = _scalar_values(s)
     if x.size < plan.kp:
         raise PlanMismatchError(f"sample is shorter than kp={plan.kp}")
-    T = _block_pair_sums(x, plan, h)
     kp = plan.kp
+    if h.features is not None:
+        S = np.sum(h.features(x[:kp]).reshape(plan.k, plan.p, -1), axis=1)
+
+        def evaluator(counts: np.ndarray) -> np.ndarray:
+            v = counts.astype(np.float64) - 1.0
+            proj = np.einsum("bk,kr->br", v, S, optimize=False)
+            return np.sum(proj * proj, axis=1) / kp
+
+        return evaluator
+    T = _block_pair_sums(x, plan, h)
 
     def evaluator(counts: np.ndarray) -> np.ndarray:
         return _quadratic_forms(T, counts) / kp

@@ -35,8 +35,17 @@ from blockboot.bootstrap import (
     decide,
 )
 from blockboot.dists import normal, uniform
+from blockboot.exceptions import InsufficientSampleError
 from blockboot.rng import derive_stream, replicate_streams
-from blockboot.vmstat import cvm_bootstrap_evaluator, kernel_from_token, vstat_bootstrap_evaluator
+from blockboot.vmstat import (
+    Kernel,
+    cvm_bootstrap_evaluator,
+    kernel_from_token,
+    product_kernel,
+    u_statistic,
+    v_statistic,
+    vstat_bootstrap_evaluator,
+)
 
 SEEDS = st.integers(0, 2**64 - 1)
 
@@ -127,6 +136,30 @@ def test_vstat_evaluator_matches_assembled_samples(sp, B, seed, token):
     expected = [plan.kp * bootstrap_v_statistic(lead, star, kernel)
                 for star in assembled(s, plan, seed, B)]
     np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12)
+
+
+PRODUCT_MESH = Kernel("product-mesh", eval=lambda x, y: x * y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sp=sample_and_plan(1), B=st.integers(1, 8), seed=SEEDS)
+def test_feature_map_matches_kernel_meshes(sp, B, seed):
+    # The product kernel's declared features against the same kernel
+    # evaluated over meshes; exact zeros (e.g. n = 1 or one block) get the
+    # absolute slack.
+    s, plan = sp
+    fast = product_kernel()
+    counts = block_counts_per_replicate(plan, seed, B)
+    checks = [(v_statistic(s, fast), v_statistic(s, PRODUCT_MESH)),
+              (vstat_bootstrap_evaluator(s, plan, fast)(counts),
+               vstat_bootstrap_evaluator(s, plan, PRODUCT_MESH)(counts))]
+    if s.n >= 2:
+        checks.append((u_statistic(s, fast), u_statistic(s, PRODUCT_MESH)))
+    else:
+        with pytest.raises(InsufficientSampleError):
+            u_statistic(s, fast)
+    for got, expected in checks:
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
 CVM_CASES = st.one_of(

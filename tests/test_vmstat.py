@@ -43,10 +43,45 @@ def scalar_sample(values):
 ONES = Kernel(name="ones", eval=lambda x, y: np.ones(np.broadcast(x, y).shape))
 
 
+def counted(kern):
+    """``kern`` as a features-free kernel that records the shape of each mesh."""
+    shapes = []
+
+    def evaluate(x, y):
+        shapes.append(np.broadcast(x, y).shape)
+        return kern.eval(x, y)
+
+    counting = Kernel(name=f"counted-{kern.name}", eval=evaluate)
+    shapes.clear()
+    return counting, shapes
+
+
 class TestKernels:
     def test_asymmetric_kernel_rejected(self):
         with pytest.raises(ConfigError):
             Kernel(name="bad", eval=lambda x, y: x - y)
+
+    def test_features_disagreeing_with_eval_rejected(self):
+        with pytest.raises(ConfigError, match="disagree"):
+            Kernel("bad", eval=lambda x, y: x * y, features=lambda x: 2 * x[:, None])
+
+    def test_features_must_be_a_matrix(self):
+        with pytest.raises(ConfigError, match=r"\(n, r\)"):
+            Kernel("flat", eval=lambda x, y: x * y, features=lambda x: x)
+
+    def test_rank_two_features(self):
+        # h(x, y) = xy + x^2 y^2 through Phi(x) = (x, x^2)
+        kern = Kernel("rank-2", eval=lambda x, y: x * y + (x * y) ** 2,
+                      features=lambda x: np.stack([x, x * x], axis=1))
+        mesh = Kernel("rank-2-mesh", eval=kern.eval)
+        s = scalar_sample(derive_stream(69).standard_normal(30))
+        plan = BlockPlan(n=30, p=4)
+        counts = counts_from_indices(derive_stream(70).integers(0, plan.k, (5, plan.k)), plan.k)
+        assert v_statistic(s, kern) == pytest.approx(v_statistic(s, mesh), rel=1e-12)
+        assert u_statistic(s, kern) == pytest.approx(u_statistic(s, mesh), rel=1e-12)
+        np.testing.assert_allclose(vstat_bootstrap_evaluator(s, plan, kern)(counts),
+                                   vstat_bootstrap_evaluator(s, plan, mesh)(counts),
+                                   rtol=1e-12, atol=1e-12)
 
     def test_token_parsing(self):
         assert kernel_from_token("product").name == "product"
@@ -94,19 +129,18 @@ class TestVStatistic:
         kern = product_kernel()
         assert v_statistic(scalar_sample(2.0 * x), kern) == 4.0 * v_statistic(scalar_sample(x), kern)
 
-    def test_tiled_path_matches_dense_path(self):
+    def test_tiled_path_matches_dense_path(self, monkeypatch):
         import blockboot.vmstat as vm
 
         rng = derive_stream(52)
         x = rng.standard_normal(300)
-        kern = gaussian_kernel(0.8)
+        kern, meshes = counted(gaussian_kernel(0.8))
         dense = v_statistic(scalar_sample(x), kern)
-        original = vm.PAIR_SUM_CUTOFF
-        try:
-            vm.PAIR_SUM_CUTOFF = 64
-            tiled = v_statistic(scalar_sample(x), kern)
-        finally:
-            vm.PAIR_SUM_CUTOFF = original
+        assert meshes == [(300, 300)]
+        meshes.clear()
+        monkeypatch.setattr(vm, "TILE_BYTES", 8 * 300 * 64)
+        tiled = v_statistic(scalar_sample(x), kern)
+        assert meshes == [(64, 300)] * 4 + [(44, 300)]
         assert tiled == pytest.approx(dense, rel=1e-12)
 
 
@@ -200,21 +234,35 @@ class TestBootstrapVStatistic:
             slow = plan.kp * bootstrap_v_statistic(s, star, kern)
             assert value == pytest.approx(slow, rel=1e-10, abs=1e-12)
 
-    def test_tiled_block_pair_sums_match_dense(self):
+    def test_tiled_block_pair_sums_match_dense(self, monkeypatch):
         import blockboot.vmstat as vm
 
         rng = derive_stream(68)
         x = rng.standard_normal(96)
         plan = BlockPlan(n=96, p=8)
-        kern = gaussian_kernel(1.0)
+        kern, meshes = counted(gaussian_kernel(1.0))
         dense = vm._block_pair_sums(x, plan, kern)
-        original = vm.PAIR_SUM_CUTOFF
-        try:
-            vm.PAIR_SUM_CUTOFF = 32
-            tiled = vm._block_pair_sums(x, plan, kern)
-        finally:
-            vm.PAIR_SUM_CUTOFF = original
+        assert meshes == [(96, 96)]
+        meshes.clear()
+        # Five blocks of 8 rows per tile: tiles of 40, 40 and 16 rows.
+        monkeypatch.setattr(vm, "TILE_BYTES", 8 * 96 * 8 * 5)
+        tiled = vm._block_pair_sums(x, plan, kern)
+        assert meshes == [(40, 96), (40, 96), (16, 96)]
         assert tiled == pytest.approx(dense, rel=1e-12)
+
+    def test_gaussian_vstat_test_memory_is_bounded(self):
+        import tracemalloc
+
+        s = scalar_sample(derive_stream(71).standard_normal(4000))
+        plan = BlockPlan(n=4000, p=16)
+        tracemalloc.start()
+        try:
+            vstat_test(s, gaussian_kernel(1.0), plan, B=1000, seed=3, level=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A dense 4000 x 4000 mesh is 128 MB per temporary.
+        assert peak < 128 * 2**20
 
 
 class TestEmpiricalCdf:
