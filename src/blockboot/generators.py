@@ -129,8 +129,8 @@ class ProcessConfig:
             if not all(math.isfinite(c) for c in coeffs):
                 raise ConfigError("linear coefficients must be finite")
         object.__setattr__(self, "coefficients", coeffs)
-        if self.innovation == "student-t" and not self.t_df > 4.0:
-            raise ConfigError(f"student-t innovations need more than 4 df, got {self.t_df}")
+        if self.innovation == "student-t" and not 4.0 < self.t_df < math.inf:
+            raise ConfigError(f"student-t innovations need finite df above 4, got {self.t_df}")
         if self.basis_size < 1:
             raise ConfigError("basis_size must be at least 1")
         if self.burn_in < 0:

@@ -73,8 +73,8 @@ class GridSpec:
             raise ConfigError("grid needs at least one point")
         if self.points > 1 and not self.lo < self.hi:
             raise ConfigError(f"grid endpoints must satisfy lo < hi, got {self.lo}, {self.hi}")
-        if not self.weight > 0:
-            raise ConfigError("grid weight must be positive")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and 0.0 < self.weight < math.inf):
+            raise ConfigError("grid endpoints must be finite and the weight positive and finite")
 
     def make(self) -> tuple[np.ndarray, np.ndarray]:
         grid = np.linspace(self.lo, self.hi, self.points)
@@ -128,6 +128,8 @@ class ExperimentConfig:
             raise ConfigError("process_y only applies to two-sample-mean")
         if self.process_y is not None and self.process_y.is_functional != self.process.is_functional:
             raise ConfigError("the two processes must live in the same space")
+        if not math.isfinite(self.mean_shift):
+            raise ConfigError(f"mean_shift must be finite, got {self.mean_shift}")
         if self.mean_shift != 0.0 and self.family != "two-sample-mean":
             raise ConfigError("mean_shift only applies to two-sample-mean")
         if self.family == "vstat":

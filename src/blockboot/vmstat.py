@@ -11,10 +11,9 @@ whenever the kernel is positive definite.
 Kernel meshes are tiled by a byte budget: they are evaluated in fixed tiles
 of at most ``TILE_BYTES`` per temporary, and the partial sums are reduced in a
 fixed order, so results are deterministic for any thread count and memory
-stays bounded.  A kernel that declares a finite-rank feature map
-``h(x, y) = Phi(x) . Phi(y)`` skips the meshes: its V-statistic is
-``||sum_i Phi(x_i)||^2 / n^2`` and its bootstrap values are ``||v S||^2 / kp``
-with ``S`` the block sums of ``Phi``, ``O(n + B k)`` work in all.
+stays bounded.  A kernel that declares a feature map (``O(n + B k)`` work)
+or a max profile (one sort, ``O(n log n + kp k + B k^2)``) skips the meshes;
+see :class:`Kernel`.  The CvM bootstrap is a max-profile V-statistic.
 """
 
 from __future__ import annotations
@@ -46,36 +45,36 @@ _SYMMETRY_SEED = 0x5EED
 class Kernel:
     """A symmetric bivariate kernel ``h(x, y)`` on scalar arguments.
 
-    ``eval`` must accept broadcastable numpy arrays.  Symmetry is spot-checked
-    on a fixed set of random pairs at construction; ``lipschitz`` and
-    ``positive_definite`` are declared metadata and are not verified
-    numerically.
+    ``eval`` must accept broadcastable numpy arrays.  Symmetry and each declared
+    shape are checked on fixed random probe pairs at 1e-12 relative, else
+    :class:`ConfigError`.  V, U and bootstrap values take the first declared path:
 
-    ``features``, when given, maps a 1-D array of ``n`` points to an
-    ``(n, r)`` matrix ``Phi`` with ``h(x, y) = sum_l Phi_l(x) Phi_l(y)``; the
-    V- and U-statistics and the bootstrap evaluator then run in ``O(n + B k)``
-    instead of over kernel meshes.  It is checked against ``eval`` on the
-    symmetry probe pairs, and a mismatch raises :class:`ConfigError`.
+    * ``features`` maps ``n`` points to an ``(n, r)`` matrix ``Phi`` with
+      ``h(x, y) = sum_l Phi_l(x) Phi_l(y)``: ``O(n + B k)`` work.
+    * ``max_profile`` is a ``g`` with ``h(x, y) = g(max(x, y)) + f(x) + f(y)``,
+      where ``f(x) = (h(x, x) - g(x)) / 2``: ``O(n log n + kp k + B k^2)``.
+    * otherwise kernel meshes: ``O(n^2 + B k^2)``.
     """
 
     name: str
     eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    symmetric: bool = True
-    lipschitz: float | None = None
-    positive_definite: bool = False
     features: Callable[[np.ndarray], np.ndarray] | None = None
+    max_profile: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if not self.symmetric:
-            raise ConfigError("kernels must be declared symmetric")
-        rng = derive_stream(_SYMMETRY_SEED)
-        x = rng.uniform(-5.0, 5.0, _SYMMETRY_PROBES)
-        y = rng.uniform(-5.0, 5.0, _SYMMETRY_PROBES)
-        a = np.asarray(self.eval(x, y), dtype=np.float64)
-        b = np.asarray(self.eval(y, x), dtype=np.float64)
+        x, y = derive_stream(_SYMMETRY_SEED).uniform(-5.0, 5.0, (2, _SYMMETRY_PROBES))
+        # One call each: h at (x, y), (y, x), (x, x) and (y, y); g at x and y.
+        a, b, dx, dy = np.asarray(self.eval(np.r_[x, y, x, y], np.r_[y, x, x, y]),
+                                  dtype=np.float64).reshape(4, -1)
         scale = np.maximum(1.0, np.abs(a))
         if not np.all(np.abs(a - b) <= 1e-12 * scale):
             raise ConfigError(f"kernel {self.name!r} is not symmetric on probe pairs")
+        if self.max_profile is not None:
+            gx, gy = np.asarray(self.max_profile(np.r_[x, y]), dtype=np.float64).reshape(2, -1)
+            split = np.where(x >= y, gx, gy) + ((dx - gx) + (dy - gy)) / 2.0
+            # Relative to the largest term of the identity, which may exceed |h|.
+            if np.any(np.abs(split - a) > 1e-12 * np.max(np.abs([scale, gx, gy, dx, dy]), axis=0)):
+                raise ConfigError(f"max_profile of {self.name!r} disagrees with eval on probes")
         if self.features is None:
             return
         fx = np.asarray(self.features(x), dtype=np.float64)
@@ -88,8 +87,7 @@ class Kernel:
 
 def product_kernel() -> Kernel:
     """``h(x, y) = x * y``; degenerate for centered data."""
-    return Kernel(name="product", eval=lambda x, y: x * y, positive_definite=True,
-                  features=lambda x: x[:, None])
+    return Kernel(name="product", eval=lambda x, y: x * y, features=lambda x: x[:, None])
 
 
 def gaussian_kernel(bandwidth: float = 1.0) -> Kernel:
@@ -102,12 +100,7 @@ def gaussian_kernel(bandwidth: float = 1.0) -> Kernel:
         z = (x - y) * inv
         return np.exp(-z * z)
 
-    return Kernel(
-        name=f"gaussian:{bandwidth}",
-        eval=evaluate,
-        lipschitz=np.sqrt(2.0 / np.e) * inv,
-        positive_definite=True,
-    )
+    return Kernel(name=f"gaussian:{bandwidth}", eval=evaluate)
 
 
 def cvm_kernel(cdf: Callable[[np.ndarray], np.ndarray], name: str = "cvm") -> Kernel:
@@ -115,7 +108,7 @@ def cvm_kernel(cdf: Callable[[np.ndarray], np.ndarray], name: str = "cvm") -> Ke
 
     Equals ``1/3 - max(F(x), F(y)) + (F(x)^2 + F(y)^2)/2``, the covariance
     kernel of a Brownian bridge evaluated at ``F``; degenerate when the data
-    are distributed according to ``cdf``.
+    are distributed according to ``cdf``; ``F`` is monotone, so its max profile is ``-F``.
     """
 
     def evaluate(x, y):
@@ -123,7 +116,7 @@ def cvm_kernel(cdf: Callable[[np.ndarray], np.ndarray], name: str = "cvm") -> Ke
         b = np.asarray(cdf(np.asarray(y, dtype=np.float64)), dtype=np.float64)
         return 1.0 / 3.0 - np.maximum(a, b) + (a * a + b * b) / 2.0
 
-    return Kernel(name=name, eval=evaluate, positive_definite=True)
+    return Kernel(name=name, eval=evaluate, max_profile=lambda x: -np.asarray(cdf(x), float))
 
 
 def kernel_from_token(token: str) -> Kernel:
@@ -151,10 +144,6 @@ def kernel_from_token(token: str) -> Kernel:
     raise ConfigError(f"unknown kernel {token!r}")
 
 
-def _scalar_values(s: HilbertSample) -> np.ndarray:
-    return s.scalars()
-
-
 def _tile_size(line: int) -> int:
     """How many float64 lines of length ``line`` fill one tile; at least one."""
     return max(1, TILE_BYTES // (8 * line))
@@ -169,23 +158,28 @@ def _pair_sum(x: np.ndarray, y: np.ndarray, h: Kernel) -> float:
 
 
 def _total_pair_sum(x: np.ndarray, h: Kernel) -> float:
-    """``sum_{i,j} h(x_i, x_j)``; ``||sum_i Phi(x_i)||^2`` for a feature map."""
-    if h.features is None:
-        return _pair_sum(x, x, h)
-    total = np.sum(h.features(x), axis=0)
-    return float(np.sum(total * total))
+    """``sum_{i,j} h(x_i, x_j)``, through the shape the kernel declares, if any."""
+    if h.features is not None:
+        total = np.sum(h.features(x), axis=0)
+        return float(np.sum(total * total))
+    if h.max_profile is not None:  # the m-th smallest point is the max of 2m - 1 pairs
+        xs = np.sort(x)
+        g = h.max_profile(xs)
+        pairs = np.sum(g * (2.0 * np.arange(1, xs.size + 1) - 1.0))
+        return float(pairs + xs.size * np.sum(h.eval(xs, xs) - g))
+    return _pair_sum(x, x, h)
 
 
 def v_statistic(s: HilbertSample, h: Kernel) -> float:
     """``(1/n^2) * sum_{i,j} h(X_i, X_j)`` over a scalar sample."""
-    x = _scalar_values(s)
+    x = s.scalars()
     n = x.size
     return _total_pair_sum(x, h) / (n * n)
 
 
 def u_statistic(s: HilbertSample, h: Kernel) -> float:
     """Off-diagonal average ``(1/(n(n-1))) * sum_{i != j} h(X_i, X_j)``."""
-    x = _scalar_values(s)
+    x = s.scalars()
     n = x.size
     if n < 2:
         raise InsufficientSampleError("a U-statistic needs n >= 2")
@@ -200,8 +194,8 @@ def bootstrap_v_statistic(s: HilbertSample, star: HilbertSample, h: Kernel) -> f
     Both inputs must have the common length ``kp``.  For positive definite
     kernels the value is a squared norm and hence nonnegative up to rounding.
     """
-    x = _scalar_values(s)
-    y = _scalar_values(star)
+    x = s.scalars()
+    y = star.scalars()
     if x.size != y.size:
         raise PlanMismatchError(
             f"sample (n={x.size}) and bootstrap sample (n={y.size}) must have equal length"
@@ -218,7 +212,7 @@ def empirical_cdf(s: HilbertSample, t):
 
     ``t`` may be a scalar or an array; the return type matches.
     """
-    x = np.sort(_scalar_values(s))
+    x = np.sort(s.scalars())
     counts = np.searchsorted(x, t, side="right")
     result = counts / x.size
     if np.isscalar(t) or np.ndim(t) == 0:
@@ -318,7 +312,7 @@ def degeneracy_diagnostic(s: HilbertSample, h: Kernel, probes) -> float:
     Small values are consistent with a degenerate kernel for this sample's
     distribution.  Advisory only; there is no pass/fail threshold.
     """
-    x = _scalar_values(s)
+    x = s.scalars()
     probes = np.asarray(probes, dtype=np.float64)
     if probes.ndim != 1 or probes.size == 0:
         raise ValueError("probes must be a nonempty 1-D array")
@@ -342,11 +336,26 @@ def _block_pair_sums(x: np.ndarray, plan: BlockPlan, h: Kernel) -> np.ndarray:
     return T
 
 
-def _quadratic_forms(matrix: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``v^T matrix v`` for each row ``v = counts - 1``; BLAS-free reduction."""
-    v = counts.astype(np.float64) - 1.0
-    half = np.einsum("bi,ij->bj", v, matrix, optimize=False)
-    return np.sum(half * v, axis=1)
+def _max_block_gram(lead: np.ndarray, plan: BlockPlan, g) -> np.ndarray:
+    """``T[a, b] = sum_{i in B_a, j in B_b} g(max(x_i, x_j))``, from one stable sort.
+
+    ``T = A + A^T - diag(block sums of g)``, with ``A[a, b]`` the sum over ``i``
+    in block ``a`` of ``g(x_i)`` times the points of block ``b`` sorted at or
+    before ``x_i``; built without BLAS in column tiles of ``TILE_BYTES``.
+    """
+    k, p = plan.k, plan.p
+    order = np.argsort(lead, kind="stable")
+    rank, block = np.argsort(order), order // p
+    g_blocks = np.asarray(g(lead), dtype=np.float64).reshape(k, p)
+    A = np.empty((k, k))
+    cols = _tile_size(lead.size)
+    for b0 in range(0, k, cols):
+        # Row r, column b: points of block b0 + b at sorted positions <= r.
+        prefix = np.cumsum(block[:, None] == np.arange(b0, min(b0 + cols, k)), axis=0,
+                           dtype=np.int32)
+        A[:, b0 : b0 + cols] = np.einsum("kpc,kp->kc", prefix[rank].reshape(k, p, -1), g_blocks,
+                                         optimize=False)
+    return A + A.T - np.diag(g_blocks.sum(axis=1))
 
 
 def vstat_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, h: Kernel):
@@ -359,10 +368,11 @@ def vstat_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, h: Kernel):
 
     The values are ``v^T T v / kp`` with ``v = counts - 1`` and ``T`` the
     block-pair kernel sums.  With a feature map ``T = S S^T`` for the ``(k, r)``
-    block sums ``S`` of ``Phi``, so each value is ``||v S||^2 / kp``.  Both
-    reductions avoid BLAS, so the values do not depend on the thread count.
+    block sums ``S`` of ``Phi``, so each value is ``||v S||^2 / kp``; with a
+    max profile the separable part cancels (``sum v = 0``), so ``T`` sums
+    ``g(max)``.  No reduction uses BLAS, so no value depends on the thread count.
     """
-    x = _scalar_values(s)
+    x = s.scalars()
     if x.size < plan.kp:
         raise PlanMismatchError(f"sample is shorter than kp={plan.kp}")
     kp = plan.kp
@@ -375,10 +385,13 @@ def vstat_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, h: Kernel):
             return np.sum(proj * proj, axis=1) / kp
 
         return evaluator
-    T = _block_pair_sums(x, plan, h)
+    T = (_block_pair_sums(x, plan, h) if h.max_profile is None
+         else _max_block_gram(x[:kp], plan, h.max_profile))
 
     def evaluator(counts: np.ndarray) -> np.ndarray:
-        return _quadratic_forms(T, counts) / kp
+        v = counts.astype(np.float64) - 1.0
+        half = np.einsum("bi,ij->bj", v, T, optimize=False)
+        return np.sum(half * v, axis=1) / kp
 
     return evaluator
 
@@ -390,44 +403,25 @@ def cvm_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, spec: CvmSpec):
     weighted squared CDF distances; in exact arithmetic each value equals
     :func:`bootstrap_cvm_statistic` on the sample assembled from the draw.
 
-    The values depend on the draw only through the ``k x k`` Gram ``M`` of
-    the block ECDFs.  Since ``1{x <= t} 1{y <= t} = 1{max(x, y) <= t}``,
+    The distance is the V-statistic of ``h(x, y) = sum_t w_t (1{x <= t} -
+    F(t)) (1{y <= t} - F(t))``.  Since ``1{x <= t} 1{y <= t} = 1{max(x, y) <= t}``,
+    ``h(x, y) = Wtail(max(x, y)) - G(x) - G(y) + C`` with ``Wtail(x)`` the
+    weight of the grid points ``>= x``, ``G(x) = sum_{t >= x} w_t F(t)`` and
+    ``C = sum_t w_t F(t)^2``: :func:`vstat_bootstrap_evaluator` on a max
+    profile ``Wtail``, whose Gram takes ``O(kp log kp + kp k)``, whatever the grid,
 
-        M[a, b] = (1/p^2) sum_{i in B_a, j in B_b} Wtail(max(x_i, x_j)),
-
-    where ``Wtail(x)`` is the weight of the grid points ``>= x``.  After one
-    stable sort of the ``kp`` leading points the maximum of a pair is its
-    later member, so ``M`` follows from per-block prefix counts in
-    ``O(kp log kp + kp k)`` operations, whatever the grid size.  The sums
-    avoid BLAS, so ``M`` does not depend on the thread count.
+        T[a, b] = sum_{i in B_a, j in B_b} Wtail(max(x_i, x_j)).
     """
-    x = _scalar_values(s)
-    if x.size < plan.kp:
-        raise PlanMismatchError(f"sample is shorter than kp={plan.kp}")
-    k, p, kp = plan.k, plan.p, plan.kp
-    lead = x[:kp]
-    order = np.argsort(lead, kind="stable")
-    tail_mass = np.append(np.cumsum(spec.weights[::-1])[::-1], 0.0)
-    wtail = tail_mass[np.searchsorted(spec.grid, lead, side="left")]
-    # Row r: how many points of each block sit at sorted positions <= r.
-    prefix = np.zeros((kp, k))
-    prefix[np.arange(kp), order // p] = 1.0
-    np.cumsum(prefix, axis=0, out=prefix)
-    # Row i, back in sample order: Wtail(x_i) times, per block, the points
-    # sorted at or before x_i, i.e. the pairs whose maximum is x_i.
-    pairs = prefix[np.argsort(order)]
-    pairs *= wtail[:, None]
-    starts = np.arange(0, kp, p)
-    # Pairs i = j are counted in both A and A^T, so D is taken off once.
-    A = np.add.reduceat(pairs, starts, axis=0)
-    D = np.add.reduceat(wtail, starts)
-    M = (A + A.T - np.diag(D)) / (p * p)
-    scale = p / k
 
-    def evaluator(counts: np.ndarray) -> np.ndarray:
-        return scale * _quadratic_forms(M, counts)
+    def suffix_sum(weights):  # x -> the sum of ``weights`` over the grid points >= x
+        tail = np.append(np.cumsum(weights[::-1])[::-1], 0.0)
+        return lambda x: tail[np.searchsorted(spec.grid, x, side="left")]
 
-    return evaluator
+    wtail, G = suffix_sum(spec.weights), suffix_sum(spec.weights * spec.cdf_values)
+    C = float(np.sum(spec.weights * spec.cdf_values ** 2))
+    kernel = Kernel(name="cvm-spec", eval=lambda x, y: wtail(np.maximum(x, y)) - (G(x) + G(y)) + C,
+                    max_profile=wtail)
+    return vstat_bootstrap_evaluator(s, plan, kernel)
 
 
 def vstat_test(s: HilbertSample, h: Kernel, plan: BlockPlan, B: int, seed: int,

@@ -238,6 +238,16 @@ class TestMonteCarloCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    def test_non_finite_mean_shift_exits_2_before_any_work(self, tmp_path, capsys):
+        config = tmp_path / "exp.ini"
+        config.write_text(EXPERIMENT_INI.replace("mean-norm", "two-sample-mean")
+                          .replace("[process]", "mean_shift = inf\n\n[process]"))
+        out = tmp_path / "mc"
+        assert run_cli("montecarlo", "--config", str(config), "--out", str(out)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
+
     def test_records_csv_matches_report_counts(self, tmp_path):
         config = tmp_path / "exp.ini"
         config.write_text(EXPERIMENT_INI)

@@ -81,6 +81,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             mean_config(mean_shift=1.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: mean_config(statistic="two-sample-mean", mean_shift=float("inf")),
+        lambda: mean_config(statistic="two-sample-mean", mean_shift=float("nan")),
+        lambda: GridSpec(points=8, lo=float("-inf")),
+        lambda: GridSpec(points=8, hi=float("inf")),
+        lambda: GridSpec(points=8, weight=float("inf")),
+        lambda: ProcessConfig(kind="iid", innovation="student-t", t_df=float("inf")),
+    ], ids=["mean_shift-inf", "mean_shift-nan", "grid-lo", "grid-hi", "grid-weight", "t_df-inf"])
+    def test_non_finite_values_rejected(self, build):
+        with pytest.raises(ConfigError):
+            build()
+
 
 class TestResolveNull:
     def test_iid_gaussian(self):

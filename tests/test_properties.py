@@ -40,6 +40,7 @@ from blockboot.rng import derive_stream, replicate_streams
 from blockboot.vmstat import (
     Kernel,
     cvm_bootstrap_evaluator,
+    cvm_kernel,
     kernel_from_token,
     product_kernel,
     u_statistic,
@@ -127,7 +128,7 @@ def test_count_statistics_match_assembled_samples(name, data, d, B, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(sp=sample_and_plan(1), B=st.integers(1, 8), seed=SEEDS,
-       token=st.sampled_from(["product", "gaussian:1.0"]))
+       token=st.sampled_from(["product", "gaussian:1.0", "cvm:normal"]))
 def test_vstat_evaluator_matches_assembled_samples(sp, B, seed, token):
     s, plan = sp
     kernel = kernel_from_token(token)
@@ -181,6 +182,44 @@ def test_cvm_evaluator_matches_assembled_samples(case, B, seed):
     lead = s.restrict(plan.kp)
     expected = [bootstrap_cvm_statistic(lead, star, spec) for star in assembled(s, plan, seed, B)]
     np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12)
+
+
+def spec_kernel(spec):
+    """``sum_t w_t (1{x <= t} - F(t)) (1{y <= t} - F(t))``, declaring its max profile ``Wtail``."""
+    tail = np.append(np.cumsum(spec.weights[::-1])[::-1], 0.0)
+
+    def induced(x, y):
+        ind_x = (spec.grid >= np.asarray(x)[..., None]) - spec.cdf_values
+        ind_y = (spec.grid >= np.asarray(y)[..., None]) - spec.cdf_values
+        return np.sum(ind_x * ind_y * spec.weights, axis=-1)
+
+    return Kernel("cvm-spec", eval=induced,
+                  max_profile=lambda x: tail[np.searchsorted(spec.grid, x, side="left")])
+
+
+@settings(max_examples=90, deadline=None)
+@given(case=CVM_CASES, B=st.integers(1, 8), seed=SEEDS, shape=st.sampled_from(["cvm", "spec"]))
+def test_max_profile_matches_kernel_meshes(case, B, seed, shape):
+    # A kernel's declared max profile against the same kernel evaluated over
+    # meshes.  The one-sort forms cancel pair terms of the kernel's size, so
+    # the absolute slack scales with the largest value or diagonal entry.
+    (s, plan), null = case
+    if shape == "cvm":
+        fast = cvm_kernel(null.cdf)
+    else:
+        fast = spec_kernel(make_cvm_spec(null.cdf, null.support, null.weight_fn, sample=s,
+                                         n_grid=64))
+    mesh = Kernel("mesh", eval=fast.eval)
+    counts = block_counts_per_replicate(plan, seed, B)
+    checks = [(v_statistic(s, fast), v_statistic(s, mesh)),
+              (vstat_bootstrap_evaluator(s, plan, fast)(counts),
+               vstat_bootstrap_evaluator(s, plan, mesh)(counts))]
+    if s.n >= 2:
+        checks.append((u_statistic(s, fast), u_statistic(s, mesh)))
+    diagonal = np.abs(fast.eval(s.scalars(), s.scalars()))
+    for got, expected in checks:
+        scale = np.max(np.concatenate([np.abs(np.atleast_1d(expected)), diagonal]))
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-10 * scale)
 
 
 @settings(max_examples=300, deadline=None)

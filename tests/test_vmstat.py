@@ -65,6 +65,13 @@ class TestKernels:
         with pytest.raises(ConfigError, match="disagree"):
             Kernel("bad", eval=lambda x, y: x * y, features=lambda x: 2 * x[:, None])
 
+    def test_max_profile_disagreeing_with_eval_rejected(self):
+        # 1/3 - max(x, y) + (x^2 + y^2)/2 has max profile -x, not +x
+        kern = cvm_kernel(lambda t: t)
+        with pytest.raises(ConfigError, match="disagrees"):
+            Kernel("bad", eval=kern.eval, max_profile=lambda x: x)
+        Kernel("good", eval=kern.eval, max_profile=lambda x: -x)
+
     def test_features_must_be_a_matrix(self):
         with pytest.raises(ConfigError, match=r"\(n, r\)"):
             Kernel("flat", eval=lambda x, y: x * y, features=lambda x: x)
@@ -85,10 +92,6 @@ class TestKernels:
 
     def test_token_parsing(self):
         assert kernel_from_token("product").name == "product"
-        assert kernel_from_token("gaussian:0.5").lipschitz == pytest.approx(
-            2.0 * math.sqrt(2.0 / math.e)
-        )
-        assert kernel_from_token("cvm:uniform:0,1").positive_definite
         with pytest.raises(ConfigError):
             kernel_from_token("sobolev")
 
@@ -340,7 +343,7 @@ class TestCvmStatistic:
             ind_b = (spec.grid >= b).astype(np.float64) - spec.cdf_values
             return np.sum(ind_a * ind_b * spec.weights, axis=-1)
 
-        kern = Kernel(name="induced", eval=induced, positive_definite=True)
+        kern = Kernel(name="induced", eval=induced)
         assert cvm_statistic(s, spec) == pytest.approx(v_statistic(s, kern), abs=1e-6)
 
 
@@ -408,6 +411,22 @@ class TestBootstrapCvmStatistic:
         with pytest.raises(PlanMismatchError):
             bootstrap_cvm_statistic(s, scalar_sample([0.1]), spec)
 
+    def test_cvm_test_memory_is_bounded(self):
+        import tracemalloc
+        from scipy.stats import norm as normal_dist
+
+        s = scalar_sample(derive_stream(72).standard_normal(20000))
+        plan = BlockPlan(n=20000, p=27)
+        spec = make_cvm_spec(normal_dist.cdf, (-8.0, 8.0), weight_fn=normal_dist.pdf, sample=s)
+        tracemalloc.start()
+        try:
+            cvm_test(s, spec, plan, B=10, seed=3, level=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Dense (kp, k) prefix counts would be 118 MB each (kp = 19980, k = 740).
+        assert peak < 96 * 2**20
+
 
 class TestDegeneracyDiagnostic:
     def test_symmetric_pair_cancels_product_kernel(self):
@@ -421,8 +440,7 @@ class TestDegeneracyDiagnostic:
 
     def test_shift_invariant_kernel_on_circle_is_degenerate(self):
         # cos(x - y) has mean zero against the uniform law on [0, 2*pi]
-        kern = Kernel(name="cos-diff", eval=lambda x, y: np.cos(x - y),
-                      positive_definite=True)
+        kern = Kernel(name="cos-diff", eval=lambda x, y: np.cos(x - y))
         rng = derive_stream(64)
         s = scalar_sample(rng.uniform(0, 2 * math.pi, 100000))
         probes = np.linspace(0, 2 * math.pi, 17)
