@@ -10,6 +10,12 @@ Replicate ``r`` of a bootstrap distribution always consumes the derived
 stream ``derive_stream(seed, r)``, so the distribution is bit-identical no
 matter in which order (or on how many workers) replicates are evaluated.
 
+Every bootstrap here runs through :func:`replicate_values`: it draws rows of
+block indices in batches of about ``BATCH_BYTES``, counts each batch with
+:func:`counts_from_indices` and hands the counts to an evaluator, so the
+only array that grows with ``B`` is the replicate output.  Evaluators map
+each row on its own, so the values do not depend on the batch size.
+
 Every bootstrap test decides through :func:`decide`: the critical value is
 the lower empirical ``1 - level`` quantile of the replicates, the p-value is
 ``(1 + #{replicates >= observed}) / (B + 1)``, and the test rejects when the
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +34,7 @@ from .exceptions import (
     EmptyInputError,
     NonFiniteStatisticError,
     PlanMismatchError,
+    ReplicateMemoryError,
     UnsupportedStatisticError,
 )
 from .hilbert import GridFunction, HilbertSample
@@ -35,6 +43,10 @@ from .rng import derive_stream, replicate_streams
 #: Relative slack used to snap floating-point powers/products to a nearby
 #: integer before flooring, so that e.g. 1000**(1/3) floors to 10 and not 9.
 _SNAP = 1e-9
+
+#: Bytes of int64 block indices drawn in one batch of replicates.  A batch
+#: and its counts stay in cache, and only the replicate output grows with B.
+BATCH_BYTES = 2**19
 
 
 def _snap_floor(x: float) -> int:
@@ -130,16 +142,6 @@ def _draw_block_indices(plan: BlockPlan, rng: np.random.Generator) -> np.ndarray
     return rng.integers(0, plan.k, size=plan.k)
 
 
-def _replicate_block_indices(plan: BlockPlan, seed: int, B: int, *tail: int) -> np.ndarray:
-    """``(B, k)`` block draws; row ``r`` comes from ``derive_stream(seed, r, *tail)``."""
-    if B < 1:
-        raise EmptyInputError("need B >= 1 bootstrap replicates")
-    idx = np.empty((B, plan.k), dtype=np.int64)
-    for r, rng in replicate_streams(seed, B, *tail):
-        idx[r] = _draw_block_indices(plan, rng)
-    return idx
-
-
 def _resample(s: HilbertSample, plan: BlockPlan, idx: np.ndarray) -> HilbertSample:
     rows = (idx[:, None] * plan.p + np.arange(plan.p)[None, :]).ravel()
     return HilbertSample(s.grid, s.weights, s.values[rows])
@@ -170,9 +172,9 @@ def bootstrap_mean_statistic(s: HilbertSample, star: HilbertSample,
 
 
 # The built-in statistics depend on a draw only through its block counts:
-# ``evaluator(s, plan)`` returns ``evaluate(counts)``, mapping a ``(B, k)``
-# count matrix to the ``B`` replicate values, like the V-statistic and CvM
-# evaluators in :mod:`blockboot.vmstat`.
+# ``evaluator(s, plan)`` returns ``evaluate(counts)``, mapping an ``(m, k)``
+# batch of count rows to its ``m`` replicate values, like the V-statistic and
+# CvM evaluators in :mod:`blockboot.vmstat`.
 
 
 class MeanStatistic:
@@ -255,21 +257,24 @@ class BootstrapDistribution:
         return self.replicates.ndim == 1
 
 
-def _callable_replicates(s: HilbertSample, plan: BlockPlan, statistic,
-                         idx: np.ndarray) -> np.ndarray:
-    """``statistic(s, star, plan)`` on the sample assembled from each row of ``idx``."""
-    values = []
-    for r, row in enumerate(idx):
-        try:
-            values.append(statistic(s, _resample(s, plan, row), plan))
-        except Exception as exc:
-            exc.args = (f"replicate {r}: {exc}",)
-            raise
-    if isinstance(values[0], GridFunction):
-        return np.stack([v.values for v in values])
-    if isinstance(values[0], np.ndarray) and values[0].ndim == 1:
-        return np.stack(values)
-    return np.asarray(values, dtype=np.float64)
+def _callable_evaluator(s: HilbertSample, plan: BlockPlan, statistic):
+    """``statistic(s, star, plan)`` on the sample assembled from each drawn row."""
+
+    def evaluate(r0: int, idx: np.ndarray) -> np.ndarray:
+        values = []
+        for r, row in enumerate(idx, start=r0):
+            try:
+                values.append(statistic(s, _resample(s, plan, row), plan))
+            except Exception as exc:
+                exc.args = (f"replicate {r}: {exc}",)
+                raise
+        if isinstance(values[0], GridFunction):
+            return np.stack([v.values for v in values])
+        if isinstance(values[0], np.ndarray) and values[0].ndim == 1:
+            return np.stack(values)
+        return np.asarray(values, dtype=np.float64)
+
+    return evaluate
 
 
 def bootstrap_replicate(s: HilbertSample, plan: BlockPlan, statistic, seed: int, r: int):
@@ -298,8 +303,8 @@ def bootstrap_distribution(s: HilbertSample, plan: BlockPlan, B: int, statistic,
     B : int
         Number of replicates.
     statistic : MeanStatistic, MeanNormStatistic, LongRunVarianceStatistic or callable
-        The built-in statistics are evaluated on the ``(B, k)`` block
-        counts of all draws at once.  Any other callable is called as
+        The built-in statistics are evaluated on the block counts of each
+        batch of draws (see :func:`replicate_values`).  Any other callable is called as
         ``statistic(s, star, plan)`` on each assembled bootstrap sample
         ``star`` and returns a float or a :class:`GridFunction`.
     seed : int
@@ -319,11 +324,14 @@ def bootstrap_distribution(s: HilbertSample, plan: BlockPlan, B: int, statistic,
         statistic_id = getattr(statistic, "statistic_id", None) or getattr(
             statistic, "__name__", "statistic"
         )
-    idx = _replicate_block_indices(plan, seed, B)
+    draws = stream_draws(plan, B, seed)
     if isinstance(statistic, _COUNT_STATISTICS):
-        replicates = statistic.evaluator(s, plan)(counts_from_indices(idx, plan.k))
+        row_shape = (s.d,) if isinstance(statistic, MeanStatistic) else ()
+        replicates = replicate_values(B, statistic.evaluator(s, plan), draws,
+                                      row_shape=row_shape)
     else:
-        replicates = _callable_replicates(s, plan, statistic, idx)
+        replicates = replicate_values(B, _callable_evaluator(s, plan, statistic), draws,
+                                      row_shape=None, counted=False)
     if replicates.ndim == 1:
         return BootstrapDistribution(replicates, B, seed, statistic_id)
     return BootstrapDistribution(replicates, B, seed, statistic_id,
@@ -348,7 +356,69 @@ def block_counts_per_replicate(plan: BlockPlan, seed: int, B: int, *tail: int) -
     ``derive_stream(seed, r, *tail)``, exactly the draw
     :func:`draw_bootstrap_sample` would make from the same stream.
     """
-    return counts_from_indices(_replicate_block_indices(plan, seed, B, *tail), plan.k)
+    return replicate_values(B, lambda counts: counts, stream_draws(plan, B, seed, *tail),
+                            row_shape=None)
+
+
+def stream_draws(plan: BlockPlan, B: int, seed: int, *tail: int):
+    """Draw source whose replicate ``r`` draws from ``derive_stream(seed, r, *tail)``.
+
+    A draw source is a pair ``(k, draw)``: ``draw(m)`` returns the ``(m, k)``
+    block indices of the next ``m`` replicates.
+    """
+    streams = replicate_streams(seed, B, *tail)
+
+    def draw(m: int) -> np.ndarray:
+        idx = np.empty((m, plan.k), dtype=np.int64)
+        for row, (_, rng) in zip(idx, streams):
+            row[:] = _draw_block_indices(plan, rng)
+        return idx
+
+    return plan.k, draw
+
+
+def generator_draws(plan: BlockPlan, rng: np.random.Generator):
+    """Draw source of one stream; its batches continue one ``(B, k)`` draw bit for bit."""
+    return plan.k, lambda m: rng.integers(0, plan.k, size=(m, plan.k))
+
+
+def _replicate_output(B: int, row_shape: tuple, dtype) -> np.ndarray:
+    try:
+        return np.empty((B, *row_shape), dtype=dtype)
+    except (MemoryError, ValueError) as exc:
+        raise ReplicateMemoryError(
+            f"cannot allocate {B} bootstrap replicates; use fewer replicates"
+        ) from exc
+
+
+def replicate_values(B: int, evaluate, *sources, row_shape: tuple | None = (),
+                     counted: bool = True) -> np.ndarray:
+    """Replicate values of ``B`` bootstrap draws, filled in row batches.
+
+    Each batch of rows ``[r0, r1)``, about ``BATCH_BYTES`` of block indices,
+    is drawn from every source, counted with :func:`counts_from_indices` and
+    mapped to its values by ``evaluate(*counts)``; with ``counted=False``,
+    ``evaluate(r0, *indices)`` gets the indices in draw order instead.  The
+    ``(B,) + row_shape`` output is allocated before any draw (``row_shape=None``:
+    from the shape and type of the first batch) and is the only array that
+    grows with ``B``.  Every evaluator maps each row on its own, so no value
+    depends on the batch size.
+    """
+    if B < 1:
+        raise EmptyInputError("need B >= 1 bootstrap replicates")
+    out = None if row_shape is None else _replicate_output(B, row_shape, np.float64)
+    rows = max(1, BATCH_BYTES // (8 * sum(k for k, _ in sources)))
+    for r0 in range(0, B, rows):
+        m = min(rows, B - r0)
+        idx = [draw(m) for _, draw in sources]
+        if counted:
+            values = evaluate(*(counts_from_indices(i, k) for i, (k, _) in zip(idx, sources)))
+        else:
+            values = evaluate(r0, *idx)
+        if out is None:
+            out = _replicate_output(B, values.shape[1:], values.dtype)
+        out[r0 : r0 + m] = values
+    return out
 
 
 def block_mean_deviations(s: HilbertSample, plan: BlockPlan, counts: np.ndarray) -> np.ndarray:
@@ -443,19 +513,22 @@ def long_run_variance_estimate(s: HilbertSample, plan: BlockPlan) -> float:
 
 
 def two_sample_statistics(x: HilbertSample, y: HilbertSample, plan_x: BlockPlan,
-                          plan_y: BlockPlan, counts_x: np.ndarray,
-                          counts_y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Observed ``||mean(X) - mean(Y)||`` and its replicates from block counts.
+                          plan_y: BlockPlan) -> tuple[float, Callable]:
+    """Observed ``||mean(X) - mean(Y)||`` and the evaluator of its replicates.
 
-    Means are over the first ``kp`` observations of each sample; replicate
-    ``r`` resamples X by row ``r`` of ``counts_x`` and Y by row ``r`` of
-    ``counts_y``, each recentered at its own mean.
+    Means are over the first ``kp`` observations of each sample;
+    ``evaluate(counts_x, counts_y)`` resamples X by each row of ``counts_x``
+    and Y by the same row of ``counts_y``, each recentered at its own mean.
     """
     diff = x.values[: plan_x.kp].mean(axis=0) - y.values[: plan_y.kp].mean(axis=0)
     observed = float(np.sqrt(np.sum(diff * diff * x.weights)))
-    delta = (block_mean_deviations(x, plan_x, counts_x)
-             - block_mean_deviations(y, plan_y, counts_y))
-    return observed, np.sqrt(np.sum(delta * delta * x.weights, axis=1))
+
+    def evaluate(counts_x: np.ndarray, counts_y: np.ndarray) -> np.ndarray:
+        delta = (block_mean_deviations(x, plan_x, counts_x)
+                 - block_mean_deviations(y, plan_y, counts_y))
+        return np.sqrt(np.sum(delta * delta * x.weights, axis=1))
+
+    return observed, evaluate
 
 
 def two_sample_test(x: HilbertSample, y: HilbertSample, plan_x: BlockPlan,
@@ -476,7 +549,7 @@ def two_sample_test(x: HilbertSample, y: HilbertSample, plan_x: BlockPlan,
     if not x.same_space(y.element(0)):
         raise PlanMismatchError("samples live on different spaces")
     _check_level(level)
-    observed, values = two_sample_statistics(
-        x, y, plan_x, plan_y, block_counts_per_replicate(plan_x, seed, B),
-        block_counts_per_replicate(plan_y, seed, B, 1))
+    observed, evaluate = two_sample_statistics(x, y, plan_x, plan_y)
+    values = replicate_values(B, evaluate, stream_draws(plan_x, B, seed),
+                              stream_draws(plan_y, B, seed, 1))
     return {**decide(observed, values, level), "replicates": values}

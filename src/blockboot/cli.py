@@ -4,8 +4,9 @@ Subcommands: ``generate``, ``bootstrap``, ``cvm-test``, ``vstat-test``,
 ``two-sample``, ``montecarlo``.  Reports are JSON with a fixed key order and
 no timestamps, so a fixed seed yields byte-identical output across runs and
 thread counts.  Exit codes: 0 success, 2 configuration error (or a
-non-finite statistic), 3 failure-policy breach in a Monte Carlo run, 4 the
-``--workers`` process pool failed.
+non-finite statistic, or more ``--replicates`` than fit in memory), 3
+failure-policy breach in a Monte Carlo run, 4 the ``--workers`` process pool
+failed.
 """
 
 from __future__ import annotations

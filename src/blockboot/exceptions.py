@@ -35,3 +35,7 @@ class ConfigError(BlockbootError, ValueError):
 
 class CvmSpecError(BlockbootError, ValueError):
     """Invalid goodness-of-fit specification (weights or hypothesized CDF)."""
+
+
+class ReplicateMemoryError(BlockbootError, MemoryError):
+    """The bootstrap replicates requested do not fit in memory."""

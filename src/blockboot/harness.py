@@ -14,6 +14,7 @@ parallelizing replications cannot change any individual record.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -26,11 +27,13 @@ from .bootstrap import (
     BlockPlan,
     MeanNormStatistic,
     block_length_schedule,
-    counts_from_indices,
     decide,
+    generator_draws,
+    replicate_values,
     two_sample_statistics,
 )
-from .bootstrap import empirical_quantile  # noqa: F401  (traced by perfbench/tracing.py)
+# Traced by perfbench/tracing.py.
+from .bootstrap import counts_from_indices, empirical_quantile  # noqa: F401
 from .dists import Distribution, distribution_from_token, normal, standardized_uniform, student_t
 from .exceptions import ConfigError
 from .generators import ProcessConfig, generate_functional, generate_real
@@ -232,9 +235,10 @@ def _generate(cfg: ExperimentConfig, process: ProcessConfig,
     return generate_real(process, cfg.n, rng=rng)
 
 
-def _draw_counts(plan: BlockPlan, rng: np.random.Generator, B: int) -> np.ndarray:
-    idx = rng.integers(0, plan.k, size=(B, plan.k))
-    return counts_from_indices(idx, plan.k)
+def _boot_values(cfg: ExperimentConfig, plan: BlockPlan, r: int, evaluate, *tags: int):
+    """``cfg.replicates`` values of ``evaluate``; each tag's stream draws one sample's blocks."""
+    draws = [generator_draws(plan, derive_stream(cfg.master_seed, r, tag)) for tag in tags]
+    return replicate_values(cfg.replicates, evaluate, *draws)
 
 
 def _record(r: int, observed: float, boot: np.ndarray, level: float) -> ReplicationRecord:
@@ -283,8 +287,7 @@ def _mean_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
     center = s.values[: plan.kp].mean(axis=0)
     root_kp = math.sqrt(plan.kp)
 
-    counts = _draw_counts(plan, derive_stream(cfg.master_seed, r, _TAG_BOOT), cfg.replicates)
-    boot = MeanNormStatistic().evaluator(s, plan)(counts)
+    boot = _boot_values(cfg, plan, r, MeanNormStatistic().evaluator(s, plan), _TAG_BOOT)
 
     # All built-in processes are centered, so the truth is the zero function.
     observed = float(root_kp * np.sqrt(np.sum(center * center * s.weights)))
@@ -302,33 +305,35 @@ def _two_sample_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
     y = _generate(cfg, process_y, derive_stream(cfg.master_seed, r, _TAG_DATA_Y))
     if cfg.mean_shift != 0.0:
         y = HilbertSample(y.grid, y.weights, y.values + cfg.mean_shift)
-    counts_x = _draw_counts(plan, derive_stream(cfg.master_seed, r, _TAG_BOOT), cfg.replicates)
-    counts_y = _draw_counts(plan, derive_stream(cfg.master_seed, r, _TAG_BOOT_Y),
-                            cfg.replicates)
-    observed, boot = two_sample_statistics(x, y, plan, plan, counts_x, counts_y)
+    observed, evaluate = two_sample_statistics(x, y, plan, plan)
+    boot = _boot_values(cfg, plan, r, evaluate, _TAG_BOOT, _TAG_BOOT_Y)
     return _record(r, observed, boot, cfg.level), boot
 
 
+# Built once per process: ``Kernel`` and ``Distribution`` hold functions that
+# cannot cross a ``--workers`` pool, and rebuilding them costs ~1 ms each.
+_cached_null = functools.cache(resolve_null)
+_cached_kernel = functools.cache(kernel_from_token)
+
+
 def _cvm_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
-    null = resolve_null(cfg)
+    null = _cached_null(cfg)
     rng = derive_stream(cfg.master_seed, r, _TAG_DATA)
     s = _generate(cfg, cfg.process, rng)
     spec = make_cvm_spec(null.cdf, null.support, null.weight_fn, sample=s)
     observed = float(cfg.n * cvm_statistic(s, spec))
     evaluator = cvm_bootstrap_evaluator(s, plan, spec)
-    counts = _draw_counts(plan, derive_stream(cfg.master_seed, r, _TAG_BOOT), cfg.replicates)
-    boot = evaluator(counts)
+    boot = _boot_values(cfg, plan, r, evaluator, _TAG_BOOT)
     return _record(r, observed, boot, cfg.level), boot
 
 
 def _vstat_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
-    kernel = kernel_from_token(cfg.kernel_token)
+    kernel = _cached_kernel(cfg.kernel_token)
     rng = derive_stream(cfg.master_seed, r, _TAG_DATA)
     s = _generate(cfg, cfg.process, rng)
     observed = float(cfg.n * v_statistic(s, kernel))
     evaluator = vstat_bootstrap_evaluator(s, plan, kernel)
-    counts = _draw_counts(plan, derive_stream(cfg.master_seed, r, _TAG_BOOT), cfg.replicates)
-    boot = evaluator(counts)
+    boot = _boot_values(cfg, plan, r, evaluator, _TAG_BOOT)
     return _record(r, observed, boot, cfg.level), boot
 
 

@@ -23,8 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .bootstrap import BlockPlan, _check_level, block_counts_per_replicate, decide
-from .bootstrap import empirical_quantile  # noqa: F401  (traced by perfbench/tracing.py)
+from .bootstrap import BlockPlan, _check_level, decide, replicate_values, stream_draws
+# Traced by perfbench/tracing.py.
+from .bootstrap import block_counts_per_replicate, empirical_quantile  # noqa: F401
 from .exceptions import (
     ConfigError,
     CvmSpecError,
@@ -359,10 +360,11 @@ def _max_block_gram(lead: np.ndarray, plan: BlockPlan, g) -> np.ndarray:
 
 
 def vstat_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, h: Kernel):
-    """Closure mapping block-count matrices to three-term bootstrap values.
+    """Closure mapping block-count rows to three-term bootstrap values.
 
-    ``evaluator(counts)`` with ``counts`` of shape ``(B, k)`` (how often each
-    block was drawn) returns the ``(B,)`` vector of ``kp * V*`` values.  In
+    ``evaluator(counts)`` with ``counts`` of shape ``(m, k)`` (how often each
+    block was drawn; any batch of replicates, or all ``B``) returns the
+    ``(m,)`` vector of ``kp * V*`` values, each from its own row alone.  In
     exact arithmetic each value equals ``kp * bootstrap_v_statistic`` on the
     sample assembled from the same draw.
 
@@ -397,10 +399,11 @@ def vstat_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, h: Kernel):
 
 
 def cvm_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, spec: CvmSpec):
-    """Closure mapping block-count matrices to bootstrap distance values.
+    """Closure mapping block-count rows to bootstrap distance values.
 
-    ``evaluator(counts)`` returns the ``(B,)`` vector of ``kp``-scaled
-    weighted squared CDF distances; in exact arithmetic each value equals
+    ``evaluator(counts)`` maps an ``(m, k)`` batch of count rows (or all
+    ``B``) to the ``(m,)`` vector of ``kp``-scaled weighted squared CDF
+    distances, each from its own row alone; in exact arithmetic each value equals
     :func:`bootstrap_cvm_statistic` on the sample assembled from the draw.
 
     The distance is the V-statistic of ``h(x, y) = sum_t w_t (1{x <= t} -
@@ -435,7 +438,7 @@ def vstat_test(s: HilbertSample, h: Kernel, plan: BlockPlan, B: int, seed: int,
     plan.require_sample(s)
     observed = s.n * v_statistic(s, h)
     evaluator = vstat_bootstrap_evaluator(s, plan, h)
-    values = evaluator(block_counts_per_replicate(plan, seed, B))
+    values = replicate_values(B, evaluator, stream_draws(plan, B, seed))
     return {**decide(observed, values, level), "replicates": values}
 
 
@@ -446,5 +449,5 @@ def cvm_test(s: HilbertSample, spec: CvmSpec, plan: BlockPlan, B: int, seed: int
     plan.require_sample(s)
     observed = s.n * cvm_statistic(s, spec)
     evaluator = cvm_bootstrap_evaluator(s, plan, spec)
-    values = evaluator(block_counts_per_replicate(plan, seed, B))
+    values = replicate_values(B, evaluator, stream_draws(plan, B, seed))
     return {**decide(observed, values, level), "replicates": values}

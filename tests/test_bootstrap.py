@@ -28,10 +28,12 @@ from blockboot.exceptions import (
     EmptyInputError,
     NonFiniteStatisticError,
     PlanMismatchError,
+    ReplicateMemoryError,
     UnsupportedStatisticError,
 )
 from blockboot.generators import ProcessConfig, generate_real
 from blockboot.rng import derive_stream
+from blockboot.vmstat import product_kernel, vstat_test
 from oracles import (
     all_block_selections,
     ar1_long_run_variance,
@@ -248,6 +250,35 @@ class TestBootstrapDistribution:
         assert np.all(counts.sum(axis=1) == plan.k)
         idx7 = derive_stream(11, 7).integers(0, plan.k, size=plan.k)
         assert np.array_equal(counts[7], counts_from_indices(idx7, plan.k)[0])
+
+
+class TestReplicateMemory:
+    @pytest.mark.parametrize("path", ["mean-norm", "two-sample", "vstat"])
+    def test_replicate_loop_memory_is_bounded(self, path):
+        import tracemalloc
+
+        n, B = 2000, 5000
+        x = scalar_sample(derive_stream(81).standard_normal(n))
+        y = scalar_sample(derive_stream(82).standard_normal(n))
+        plan = BlockPlan(n=n, p=5)
+        run = {
+            "mean-norm": lambda: bootstrap_distribution(x, plan, B, MeanNormStatistic(), 3),
+            "two-sample": lambda: two_sample_test(x, y, plan, plan, B, 3, 0.05),
+            "vstat": lambda: vstat_test(x, product_kernel(), plan, B, 3, 0.05),
+        }[path]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One (B, k) = (5000, 400) int64 array of indices or counts is 16 MB.
+        assert peak < 8 * 2**20
+
+    def test_unallocatable_replicates_raise_a_typed_error(self):
+        s = scalar_sample(np.arange(10.0))
+        with pytest.raises(ReplicateMemoryError, match="10000000000000"):
+            bootstrap_distribution(s, BlockPlan(n=10, p=2), 10**13, MeanNormStatistic(), 0)
 
 
 class TestBootstrapQuantile:

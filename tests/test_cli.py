@@ -187,6 +187,20 @@ class TestTestCommands:
                        "--out", str(tmp_path / "t.json")) == 2
 
 
+class TestUnallocatableReplicates:
+    @pytest.mark.parametrize("command", ["bootstrap", "cvm-test", "vstat-test", "two-sample"])
+    def test_exits_2_with_one_error_line(self, tmp_path, data_file, command, capsys):
+        data = ["--data-x", data_file, "--data-y", data_file] if command == "two-sample" \
+            else ["--data", data_file]
+        out = tmp_path / "out.json"
+        code = run_cli(command, *data, "--block-length", "5",
+                       "--replicates", "1000000000000", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "1000000000000" in err[0]
+        assert not out.exists()
+
+
 class TestMonteCarloCommand:
     def test_outputs_and_determinism(self, tmp_path):
         config = tmp_path / "exp.ini"

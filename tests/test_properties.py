@@ -5,7 +5,9 @@ explicitly assembled bootstrap sample: the same stream draws the same
 blocks, so the two routes differ only in floating-point summation order.
 """
 
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,13 +28,18 @@ from blockboot import (
     trapezoid_weights,
     two_sample_test,
 )
+import blockboot.bootstrap as bootstrap
 from blockboot.bootstrap import (
     LongRunVarianceStatistic,
     MeanNormStatistic,
     MeanStatistic,
     _snap_ceil,
     block_counts_per_replicate,
+    counts_from_indices,
     decide,
+    generator_draws,
+    replicate_values,
+    two_sample_statistics,
 )
 from blockboot.dists import normal, uniform
 from blockboot.exceptions import InsufficientSampleError
@@ -42,10 +49,12 @@ from blockboot.vmstat import (
     cvm_bootstrap_evaluator,
     cvm_kernel,
     kernel_from_token,
+    cvm_test,
     product_kernel,
     u_statistic,
     v_statistic,
     vstat_bootstrap_evaluator,
+    vstat_test,
 )
 
 SEEDS = st.integers(0, 2**64 - 1)
@@ -233,3 +242,90 @@ def test_reject_counts_replicates_at_or_above_observed_under_ties(replicates, ob
     assert result["reject"] == (exceed <= B - m)
     assert round((B + 1) * result["p_value"]) == 1 + exceed
     assert result["reject"] == (round((B + 1) * result["p_value"]) <= 1 + B - m)
+
+
+# Batch sizes of the replicate loop: one row, 13 rows, and all rows at once.
+BATCH_ROWS = (1, 13, None)
+
+
+def batched(rows, k, run):
+    """``run()`` with batches of ``rows`` replicates, for draw sources summing to ``k``."""
+    batch_bytes = 2**62 if rows is None else rows * 8 * k
+    with mock.patch.object(bootstrap, "BATCH_BYTES", batch_bytes):
+        return run()
+
+
+def _order_sensitive(s, star, plan):
+    # Depends on the order of the drawn blocks, not only on their counts.
+    return float(np.sum(star.values[:, 0] * np.arange(star.n)))
+
+
+def replicate_paths(s, y, plan, B, seed):
+    """``{name: (k, run)}``: every path to replicate values; ``k`` sums its sources."""
+    k = plan.k
+
+    def harness(evaluate, *tags, row_shape=()):
+        return lambda: replicate_values(
+            B, evaluate, *[generator_draws(plan, derive_stream(seed, tag)) for tag in tags],
+            row_shape=row_shape)
+
+    paths = {}
+    for name, (statistic, _) in COUNT_STATISTICS.items():
+        paths[name] = (k, lambda st=statistic: bootstrap_distribution(
+            s, plan, B, st, seed).replicates)
+        paths[name + "/harness"] = (k, harness(statistic.evaluator(s, plan), 2,
+                                               row_shape=(s.d,) if name == "mean" else ()))
+    paths["callable"] = (k, lambda: bootstrap_distribution(
+        s, plan, B, _order_sensitive, seed).replicates)
+    paths["two-sample"] = (2 * k, lambda: two_sample_test(
+        s, y, plan, plan, B, seed, 0.1)["replicates"])
+    paths["two-sample/harness"] = (2 * k, harness(two_sample_statistics(s, y, plan, plan)[1],
+                                                  2, 3))
+    if s.d > 1:
+        return paths
+    # The product kernel runs through its feature map, cvm:normal through its
+    # max profile and gaussian through kernel meshes.
+    for token in ("product", "cvm:normal", "gaussian:1.0"):
+        kernel = kernel_from_token(token)
+        paths[token] = (k, lambda h=kernel: vstat_test(s, h, plan, B, seed, 0.1)["replicates"])
+        paths[token + "/harness"] = (k, harness(vstat_bootstrap_evaluator(s, plan, kernel), 2))
+    null = normal(0.0, 1.0)
+    spec = make_cvm_spec(null.cdf, null.support, null.weight_fn, sample=s, n_grid=64)
+    paths["cvm"] = (k, lambda: cvm_test(s, spec, plan, B, seed, 0.1)["replicates"])
+    paths["cvm/harness"] = (k, harness(cvm_bootstrap_evaluator(s, plan, spec), 2))
+    return paths
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even-B", "odd-B"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 3]), half=st.integers(0, 20), seed=SEEDS)
+def test_batch_size_does_not_change_any_replicate(parity, data, d, half, seed):
+    B = max(1, 2 * half + parity)
+    s, plan = data.draw(sample_and_plan(d))
+    y = HilbertSample(s.grid, s.weights, derive_stream(seed, 9).standard_normal(s.values.shape))
+    for name, (k, run) in replicate_paths(s, y, plan, B, seed).items():
+        whole, *split = [batched(rows, k, run) for rows in BATCH_ROWS[::-1]]
+        for values in split:
+            assert values.shape == whole.shape and values.tobytes() == whole.tobytes(), name
+    # One batch of the harness source is one (B, k) draw of its stream.
+    evaluator = MeanNormStatistic().evaluator(s, plan)
+    idx = derive_stream(seed, 2).integers(0, plan.k, size=(B, plan.k))
+    reference = evaluator(counts_from_indices(idx, plan.k))
+    got = batched(13, plan.k, lambda: replicate_values(
+        B, evaluator, generator_draws(plan, derive_stream(seed, 2))))
+    assert got.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("rows", BATCH_ROWS)
+def test_callable_errors_name_the_global_replicate(rows):
+    s = HilbertSample(np.zeros(1), np.ones(1), np.arange(12.0)[:, None])
+    plan = BlockPlan(n=12, p=2)
+    calls = itertools.count()
+
+    def fails_at_20(sample, star, pl):
+        if next(calls) == 20:
+            raise ValueError("boom")
+        return 0.0
+
+    with pytest.raises(ValueError, match=r"^replicate 20: boom$"):
+        batched(rows, plan.k, lambda: bootstrap_distribution(s, plan, 30, fails_at_20, seed=0))
