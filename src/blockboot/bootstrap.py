@@ -10,14 +10,17 @@ Replicate ``r`` of a bootstrap distribution always consumes the derived
 stream ``derive_stream(seed, r)``, so the distribution is bit-identical no
 matter in which order (or on how many workers) replicates are evaluated.
 
-Every bootstrap here runs through :func:`replicate_values`: it draws rows of
-block indices in batches of about ``BATCH_BYTES``, counts each batch with
-:func:`counts_from_indices` and hands the counts to an evaluator, so the
+Every built-in statistic runs through :func:`replicate_values`: it draws
+rows of block indices in batches of about ``BATCH_BYTES``, counts each batch
+with :func:`counts_from_indices` and hands the counts to an evaluator, so the
 only array that grows with ``B`` is the replicate output.  Evaluators map
 each row on its own, so the values do not depend on the batch size.
+Callable statistics are called once per replicate on the assembled sample,
+outside the batches.
 
-Every bootstrap test decides through :func:`decide`: the critical value is
-the lower empirical ``1 - level`` quantile of the replicates, the p-value is
+Every bootstrap test decides through :func:`bootstrap_test`, which feeds the
+replicates to :func:`decide`: the critical value is the lower empirical
+``1 - level`` quantile of the replicates, the p-value is
 ``(1 + #{replicates >= observed}) / (B + 1)``, and the test rejects when the
 observed statistic exceeds the critical value.
 """
@@ -257,26 +260,6 @@ class BootstrapDistribution:
         return self.replicates.ndim == 1
 
 
-def _callable_evaluator(s: HilbertSample, plan: BlockPlan, statistic):
-    """``statistic(s, star, plan)`` on the sample assembled from each drawn row."""
-
-    def evaluate(r0: int, idx: np.ndarray) -> np.ndarray:
-        values = []
-        for r, row in enumerate(idx, start=r0):
-            try:
-                values.append(statistic(s, _resample(s, plan, row), plan))
-            except Exception as exc:
-                exc.args = (f"replicate {r}: {exc}",)
-                raise
-        if isinstance(values[0], GridFunction):
-            return np.stack([v.values for v in values])
-        if isinstance(values[0], np.ndarray) and values[0].ndim == 1:
-            return np.stack(values)
-        return np.asarray(values, dtype=np.float64)
-
-    return evaluate
-
-
 def bootstrap_replicate(s: HilbertSample, plan: BlockPlan, statistic, seed: int, r: int):
     """Value of ``statistic`` on the ``r``-th bootstrap draw.
 
@@ -304,9 +287,10 @@ def bootstrap_distribution(s: HilbertSample, plan: BlockPlan, B: int, statistic,
         Number of replicates.
     statistic : MeanStatistic, MeanNormStatistic, LongRunVarianceStatistic or callable
         The built-in statistics are evaluated on the block counts of each
-        batch of draws (see :func:`replicate_values`).  Any other callable is called as
-        ``statistic(s, star, plan)`` on each assembled bootstrap sample
-        ``star`` and returns a float or a :class:`GridFunction`.
+        batch of draws (see :func:`replicate_values`).  Any other callable
+        is called as ``statistic(s, star, plan)`` on each assembled
+        bootstrap sample ``star``, one replicate at a time, and returns a
+        float or a :class:`GridFunction` of the same shape every time.
     seed : int
         Master seed; replicate ``r`` uses ``derive_stream(seed, r)``.
     statistic_id : str, optional
@@ -324,14 +308,10 @@ def bootstrap_distribution(s: HilbertSample, plan: BlockPlan, B: int, statistic,
         statistic_id = getattr(statistic, "statistic_id", None) or getattr(
             statistic, "__name__", "statistic"
         )
-    draws = stream_draws(plan, B, seed)
     if isinstance(statistic, _COUNT_STATISTICS):
-        row_shape = (s.d,) if isinstance(statistic, MeanStatistic) else ()
-        replicates = replicate_values(B, statistic.evaluator(s, plan), draws,
-                                      row_shape=row_shape)
+        replicates = replicate_values(B, statistic.evaluator(s, plan), stream_draws(plan, B, seed))
     else:
-        replicates = replicate_values(B, _callable_evaluator(s, plan, statistic), draws,
-                                      row_shape=None, counted=False)
+        replicates = _callable_replicates(s, plan, B, statistic, seed)
     if replicates.ndim == 1:
         return BootstrapDistribution(replicates, B, seed, statistic_id)
     return BootstrapDistribution(replicates, B, seed, statistic_id,
@@ -356,8 +336,7 @@ def block_counts_per_replicate(plan: BlockPlan, seed: int, B: int, *tail: int) -
     ``derive_stream(seed, r, *tail)``, exactly the draw
     :func:`draw_bootstrap_sample` would make from the same stream.
     """
-    return replicate_values(B, lambda counts: counts, stream_draws(plan, B, seed, *tail),
-                            row_shape=None)
+    return replicate_values(B, lambda counts: counts, stream_draws(plan, B, seed, *tail))
 
 
 def stream_draws(plan: BlockPlan, B: int, seed: int, *tail: int):
@@ -391,33 +370,50 @@ def _replicate_output(B: int, row_shape: tuple, dtype) -> np.ndarray:
         ) from exc
 
 
-def replicate_values(B: int, evaluate, *sources, row_shape: tuple | None = (),
-                     counted: bool = True) -> np.ndarray:
+def replicate_values(B: int, evaluate, *sources) -> np.ndarray:
     """Replicate values of ``B`` bootstrap draws, filled in row batches.
 
     Each batch of rows ``[r0, r1)``, about ``BATCH_BYTES`` of block indices,
     is drawn from every source, counted with :func:`counts_from_indices` and
-    mapped to its values by ``evaluate(*counts)``; with ``counted=False``,
-    ``evaluate(r0, *indices)`` gets the indices in draw order instead.  The
-    ``(B,) + row_shape`` output is allocated before any draw (``row_shape=None``:
-    from the shape and type of the first batch) and is the only array that
-    grows with ``B``.  Every evaluator maps each row on its own, so no value
+    mapped to its values by ``evaluate(*counts)``.  The output takes its
+    shape and type from the first batch and is the only array that grows
+    with ``B``.  Every evaluator maps each row on its own, so no value
     depends on the batch size.
     """
     if B < 1:
         raise EmptyInputError("need B >= 1 bootstrap replicates")
-    out = None if row_shape is None else _replicate_output(B, row_shape, np.float64)
+    out = None
     rows = max(1, BATCH_BYTES // (8 * sum(k for k, _ in sources)))
     for r0 in range(0, B, rows):
         m = min(rows, B - r0)
         idx = [draw(m) for _, draw in sources]
-        if counted:
-            values = evaluate(*(counts_from_indices(i, k) for i, (k, _) in zip(idx, sources)))
-        else:
-            values = evaluate(r0, *idx)
+        values = evaluate(*(counts_from_indices(i, k) for i, (k, _) in zip(idx, sources)))
         if out is None:
             out = _replicate_output(B, values.shape[1:], values.dtype)
         out[r0 : r0 + m] = values
+    return out
+
+
+def _callable_replicates(s: HilbertSample, plan: BlockPlan, B: int, statistic, seed: int):
+    """``statistic(s, star, plan)`` on the sample assembled from each replicate's draw."""
+    if B < 1:
+        raise EmptyInputError("need B >= 1 bootstrap replicates")
+    out = None
+    for r, rng in replicate_streams(seed, B):
+        try:
+            value = statistic(s, _resample(s, plan, _draw_block_indices(plan, rng)), plan)
+        except Exception as exc:
+            exc.args = (f"replicate {r}: {exc}",)
+            raise
+        value = np.asarray(value.values if isinstance(value, GridFunction) else value,
+                           dtype=np.float64)
+        if out is None:
+            out = _replicate_output(B, value.shape, np.float64)
+        elif value.shape != out.shape[1:]:
+            raise UnsupportedStatisticError(
+                f"replicate {r}: value of shape {value.shape}, replicate 0 had {out.shape[1:]}"
+            )
+        out[r] = value
     return out
 
 
@@ -481,6 +477,18 @@ def decide(observed: float, replicates: np.ndarray, level: float) -> dict:
         "p_value": (1.0 + exceed) / (B + 1.0),
         "reject": observed > critical,
     }
+
+
+def bootstrap_test(observed: float, evaluate, level: float, B: int, *sources) -> dict:
+    """Decision of a bootstrap test on ``B`` replicates of ``evaluate``.
+
+    The replicates come from :func:`replicate_values` over the draw
+    ``sources``; the result is :func:`decide`'s dict plus the replicate
+    array under ``"replicates"``.
+    """
+    _check_level(level)
+    values = replicate_values(B, evaluate, *sources)
+    return {**decide(observed, values, level), "replicates": values}
 
 
 def bootstrap_quantile(dist: BootstrapDistribution, q: float) -> float:
@@ -548,8 +556,6 @@ def two_sample_test(x: HilbertSample, y: HilbertSample, plan_x: BlockPlan,
     plan_y.require_sample(y)
     if not x.same_space(y.element(0)):
         raise PlanMismatchError("samples live on different spaces")
-    _check_level(level)
     observed, evaluate = two_sample_statistics(x, y, plan_x, plan_y)
-    values = replicate_values(B, evaluate, stream_draws(plan_x, B, seed),
-                              stream_draws(plan_y, B, seed, 1))
-    return {**decide(observed, values, level), "replicates": values}
+    return bootstrap_test(observed, evaluate, level, B, stream_draws(plan_x, B, seed),
+                          stream_draws(plan_y, B, seed, 1))

@@ -278,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="experiment config file (INI, schema=1)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--workers", type=int, default=1,
-                   help="process-pool size for replications; output is identical "
-                        "for any value")
+                   help="process-pool size for replications, capped at the replications "
+                        "and CPUs; output is identical for any value")
     p.set_defaults(func=cmd_montecarlo)
 
     return parser

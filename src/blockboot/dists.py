@@ -29,8 +29,10 @@ class Distribution:
 
 
 def normal(mu: float = 0.0, sigma: float = 1.0) -> Distribution:
-    if not sigma > 0:
-        raise ConfigError(f"normal scale must be positive, got {sigma}")
+    if not math.isfinite(mu):
+        raise ConfigError(f"normal location must be finite, got {mu}")
+    if not 0 < sigma < math.inf:
+        raise ConfigError(f"normal scale must be positive and finite, got {sigma}")
     frozen = stats.norm(loc=mu, scale=sigma)
     return Distribution(
         name=f"normal:{mu},{sigma}",
@@ -42,6 +44,8 @@ def normal(mu: float = 0.0, sigma: float = 1.0) -> Distribution:
 
 
 def uniform(a: float = 0.0, b: float = 1.0) -> Distribution:
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ConfigError(f"uniform endpoints must be finite, got {a}, {b}")
     if not a < b:
         raise ConfigError(f"uniform endpoints must satisfy a < b, got {a}, {b}")
     frozen = stats.uniform(loc=a, scale=b - a)
@@ -55,8 +59,10 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Distribution:
 
 
 def student_t(df: float, scale: float = 1.0) -> Distribution:
-    if not df > 0 or not scale > 0:
-        raise ConfigError("student-t needs positive df and scale")
+    if not df > 0:
+        raise ConfigError(f"student-t df must be positive, got {df}")
+    if not 0 < scale < math.inf:
+        raise ConfigError(f"student-t scale must be positive and finite, got {scale}")
     frozen = stats.t(df, loc=0.0, scale=scale)
     return Distribution(
         name=f"t:{df},{scale}",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -27,9 +28,8 @@ from .bootstrap import (
     BlockPlan,
     MeanNormStatistic,
     block_length_schedule,
-    decide,
+    bootstrap_test,
     generator_draws,
-    replicate_values,
     two_sample_statistics,
 )
 # Traced by perfbench/tracing.py.
@@ -235,21 +235,19 @@ def _generate(cfg: ExperimentConfig, process: ProcessConfig,
     return generate_real(process, cfg.n, rng=rng)
 
 
-def _boot_values(cfg: ExperimentConfig, plan: BlockPlan, r: int, evaluate, *tags: int):
-    """``cfg.replicates`` values of ``evaluate``; each tag's stream draws one sample's blocks."""
+def _bootstrap_record(cfg: ExperimentConfig, plan: BlockPlan, r: int, observed: float,
+                      evaluate, *tags: int):
+    """Record and replicates of replication ``r``; each tag's stream draws a sample's blocks."""
     draws = [generator_draws(plan, derive_stream(cfg.master_seed, r, tag)) for tag in tags]
-    return replicate_values(cfg.replicates, evaluate, *draws)
-
-
-def _record(r: int, observed: float, boot: np.ndarray, level: float) -> ReplicationRecord:
-    decision = decide(observed, boot, level)
-    return ReplicationRecord(
+    result = bootstrap_test(observed, evaluate, cfg.level, cfg.replicates, *draws)
+    record = ReplicationRecord(
         replication=r,
-        observed=decision["statistic"],
-        critical_value=decision["critical_value"],
-        reject=decision["reject"],
-        p_value=decision["p_value"],
+        observed=result["statistic"],
+        critical_value=result["critical_value"],
+        reject=result["reject"],
+        p_value=result["p_value"],
     )
+    return record, result["replicates"]
 
 
 def resolve_null(cfg: ExperimentConfig) -> Distribution:
@@ -287,11 +285,10 @@ def _mean_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
     center = s.values[: plan.kp].mean(axis=0)
     root_kp = math.sqrt(plan.kp)
 
-    boot = _boot_values(cfg, plan, r, MeanNormStatistic().evaluator(s, plan), _TAG_BOOT)
-
     # All built-in processes are centered, so the truth is the zero function.
     observed = float(root_kp * np.sqrt(np.sum(center * center * s.weights)))
-    record = _record(r, observed, boot, cfg.level)
+    record, boot = _bootstrap_record(cfg, plan, r, observed,
+                                     MeanNormStatistic().evaluator(s, plan), _TAG_BOOT)
     if s.d == 1:
         radius = record.critical_value / root_kp
         record.ci_low = float(center[0] - radius)
@@ -306,8 +303,7 @@ def _two_sample_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
     if cfg.mean_shift != 0.0:
         y = HilbertSample(y.grid, y.weights, y.values + cfg.mean_shift)
     observed, evaluate = two_sample_statistics(x, y, plan, plan)
-    boot = _boot_values(cfg, plan, r, evaluate, _TAG_BOOT, _TAG_BOOT_Y)
-    return _record(r, observed, boot, cfg.level), boot
+    return _bootstrap_record(cfg, plan, r, observed, evaluate, _TAG_BOOT, _TAG_BOOT_Y)
 
 
 # Built once per process: ``Kernel`` and ``Distribution`` hold functions that
@@ -323,8 +319,7 @@ def _cvm_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
     spec = make_cvm_spec(null.cdf, null.support, null.weight_fn, sample=s)
     observed = float(cfg.n * cvm_statistic(s, spec))
     evaluator = cvm_bootstrap_evaluator(s, plan, spec)
-    boot = _boot_values(cfg, plan, r, evaluator, _TAG_BOOT)
-    return _record(r, observed, boot, cfg.level), boot
+    return _bootstrap_record(cfg, plan, r, observed, evaluator, _TAG_BOOT)
 
 
 def _vstat_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
@@ -333,8 +328,7 @@ def _vstat_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
     s = _generate(cfg, cfg.process, rng)
     observed = float(cfg.n * v_statistic(s, kernel))
     evaluator = vstat_bootstrap_evaluator(s, plan, kernel)
-    boot = _boot_values(cfg, plan, r, evaluator, _TAG_BOOT)
-    return _record(r, observed, boot, cfg.level), boot
+    return _bootstrap_record(cfg, plan, r, observed, evaluator, _TAG_BOOT)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +402,6 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
     def write(self, out_dir: str) -> None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.json"), "w", encoding="ascii") as fh:
             fh.write(self.report_json())
@@ -476,13 +468,13 @@ def _safe_replicate(cfg: ExperimentConfig, plan: BlockPlan, r: int):
 
 def _run(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     plan = experiment_plan(cfg)
+    workers = min(workers, cfg.replications, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
 
         chunk = max(1, cfg.replications // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(partial(_safe_replicate, cfg, plan),
+            outcomes = list(pool.map(functools.partial(_safe_replicate, cfg, plan),
                                      range(cfg.replications), chunksize=chunk))
     else:
         outcomes = [_safe_replicate(cfg, plan, r) for r in range(cfg.replications)]
@@ -526,9 +518,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     its bootstrap.  An unresolvable ``cvm`` null fails before any
     replication runs.
 
-    ``workers > 1`` runs replications on a process pool; because replication
-    ``r`` depends only on streams derived from ``(master_seed, r)``, the
-    report is byte-identical for any worker count.
+    ``workers > 1`` runs replications on a pool of at most ``workers``
+    processes, and no more than there are replications or CPUs; because
+    replication ``r`` depends only on streams derived from
+    ``(master_seed, r)``, the report is byte-identical for any worker count.
     """
     if cfg.family == "cvm":
         resolve_null(cfg)  # fail fast on unresolvable nulls

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bootstrap import BlockPlan, _check_level, decide, replicate_values, stream_draws
+from .bootstrap import BlockPlan, bootstrap_test, stream_draws
 # Traced by perfbench/tracing.py.
 from .bootstrap import block_counts_per_replicate, empirical_quantile  # noqa: F401
 from .exceptions import (
@@ -93,8 +93,8 @@ def product_kernel() -> Kernel:
 
 def gaussian_kernel(bandwidth: float = 1.0) -> Kernel:
     """``h(x, y) = exp(-((x - y)/bandwidth)^2)``."""
-    if not bandwidth > 0:
-        raise ConfigError(f"bandwidth must be positive, got {bandwidth}")
+    if not (0 < bandwidth < np.inf and 1.0 / bandwidth < np.inf):
+        raise ConfigError(f"bandwidth and 1/bandwidth must be positive and finite, got {bandwidth}")
     inv = 1.0 / float(bandwidth)
 
     def evaluate(x, y):
@@ -434,20 +434,14 @@ def vstat_test(s: HilbertSample, h: Kernel, plan: BlockPlan, B: int, seed: int,
     Critical values come from ``B`` bootstrap replicates of the three-term
     ``kp * V*``; replicate ``r`` draws from ``derive_stream(seed, r)``.
     """
-    _check_level(level)
     plan.require_sample(s)
-    observed = s.n * v_statistic(s, h)
-    evaluator = vstat_bootstrap_evaluator(s, plan, h)
-    values = replicate_values(B, evaluator, stream_draws(plan, B, seed))
-    return {**decide(observed, values, level), "replicates": values}
+    return bootstrap_test(s.n * v_statistic(s, h), vstat_bootstrap_evaluator(s, plan, h), level,
+                          B, stream_draws(plan, B, seed))
 
 
 def cvm_test(s: HilbertSample, spec: CvmSpec, plan: BlockPlan, B: int, seed: int,
              level: float) -> dict:
     """Bootstrap goodness-of-fit test based on ``n`` times the CvM distance."""
-    _check_level(level)
     plan.require_sample(s)
-    observed = s.n * cvm_statistic(s, spec)
-    evaluator = cvm_bootstrap_evaluator(s, plan, spec)
-    values = replicate_values(B, evaluator, stream_draws(plan, B, seed))
-    return {**decide(observed, values, level), "replicates": values}
+    return bootstrap_test(s.n * cvm_statistic(s, spec), cvm_bootstrap_evaluator(s, plan, spec),
+                          level, B, stream_draws(plan, B, seed))

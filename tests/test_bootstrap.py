@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from blockboot import (
     long_run_variance_estimate,
     two_sample_test,
 )
+from blockboot import bootstrap
 from blockboot.bootstrap import (
+    LongRunVarianceStatistic,
     MeanNormStatistic,
     MeanStatistic,
     block_counts_per_replicate,
@@ -32,6 +35,7 @@ from blockboot.exceptions import (
     UnsupportedStatisticError,
 )
 from blockboot.generators import ProcessConfig, generate_real
+from blockboot.hilbert import GridFunction
 from blockboot.rng import derive_stream
 from blockboot.vmstat import product_kernel, vstat_test
 from oracles import (
@@ -275,10 +279,27 @@ class TestReplicateMemory:
         # One (B, k) = (5000, 400) int64 array of indices or counts is 16 MB.
         assert peak < 8 * 2**20
 
-    def test_unallocatable_replicates_raise_a_typed_error(self):
+    # Each output is allocated after its first batch (the first value for callables).
+    @pytest.mark.parametrize("statistic", [
+        MeanStatistic(), MeanNormStatistic(), LongRunVarianceStatistic(),
+        lambda s, star, plan: float(star.values.sum()),
+    ], ids=["mean", "mean-norm", "lrv", "callable"])
+    def test_unallocatable_replicates_raise_a_typed_error(self, statistic):
         s = scalar_sample(np.arange(10.0))
         with pytest.raises(ReplicateMemoryError, match="10000000000000"):
-            bootstrap_distribution(s, BlockPlan(n=10, p=2), 10**13, MeanNormStatistic(), 0)
+            bootstrap_distribution(s, BlockPlan(n=10, p=2), 10**13, statistic, 0)
+
+    def test_callable_value_of_a_new_shape_raises(self):
+        s = HilbertSample(np.linspace(0, 1, 3), np.ones(3), np.arange(24.0).reshape(8, 3))
+        plan = BlockPlan(n=8, p=2)
+        first = iter([GridFunction(s.grid, np.zeros(3), s.weights)])
+
+        def grid_then_float(sample, star, pl):
+            return next(first, 1.0)
+
+        with mock.patch.object(bootstrap, "BATCH_BYTES", 8 * plan.k):
+            with pytest.raises(UnsupportedStatisticError, match=r"^replicate 1: .*\(3,\)"):
+                bootstrap_distribution(s, plan, 4, grid_then_float, seed=0)
 
 
 class TestBootstrapQuantile:

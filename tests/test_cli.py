@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,10 +7,13 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blockboot.harness as harness
 from blockboot.cli import main
-from blockboot.io import read_sample
+from blockboot.hilbert import HilbertSample
+from blockboot.io import read_sample, write_sample
 from child_env import child_env
 
 
@@ -201,6 +206,52 @@ class TestUnallocatableReplicates:
         assert not out.exists()
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("command, flag, token, name", [
+        ("vstat-test", "--kernel", "gaussian:inf", "bandwidth"),
+        ("vstat-test", "--kernel", "gaussian:1e-320", "bandwidth"),
+        ("vstat-test", "--kernel", "cvm:normal:0,inf", "normal scale"),
+        ("vstat-test", "--kernel", "cvm:uniform:0,inf", "uniform endpoints"),
+        ("cvm-test", "--dist", "normal:0,inf", "normal scale"),
+        ("cvm-test", "--dist", "normal:inf,1", "normal location"),
+        ("cvm-test", "--dist", "t:5,inf", "student-t scale"),
+        ("cvm-test", "--dist", "uniform:0,inf", "uniform endpoints"),
+    ])
+    def test_exits_2_with_one_error_line(self, tmp_path, data_file, command, flag, token,
+                                         name, capsys):
+        out = tmp_path / "out.json"
+        code = run_cli(command, "--data", data_file, flag, token, "--replicates", "20",
+                       "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
+        assert not out.exists()
+
+    def test_student_t_normal_limit_is_accepted(self, tmp_path, data_file):
+        out = tmp_path / "out.json"
+        assert run_cli("cvm-test", "--data", data_file, "--dist", "t:inf",
+                       "--replicates", "20", "--out", str(out)) == 0
+
+    @pytest.mark.parametrize("statistic, extra", [
+        ("vstat:cvm:normal:0,inf", ""),
+        ("cvm", "null = normal:0,inf\n"),
+    ])
+    def test_montecarlo_exits_2_before_any_replication(self, tmp_path, monkeypatch, capsys,
+                                                        statistic, extra):
+        def replicate(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(harness, "_safe_replicate", replicate)
+        config = tmp_path / "exp.ini"
+        config.write_text(EXPERIMENT_INI.replace("mean-norm", statistic)
+                          .replace("[process]", extra + "\n[process]"))
+        out = tmp_path / "mc"
+        assert run_cli("montecarlo", "--config", str(config), "--out", str(out)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "normal scale" in err[0]
+        assert not out.exists()
+
+
 class TestMonteCarloCommand:
     def test_outputs_and_determinism(self, tmp_path):
         config = tmp_path / "exp.ini"
@@ -308,3 +359,71 @@ class TestInstalledEntryPoint:
                 assert proc.returncode == 0, proc.stderr
                 outputs[threads] = {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
             assert outputs["1"] == outputs["4"]
+
+
+# Flag values of each flag's own type, including non-finite, negative, zero,
+# tiny, huge and out-of-range ones.
+FUZZ_N = 40
+FUZZ_FLOATS = ["nan", "inf", "-inf", "0", "1", "-0.5", "1e-300", "1e308", "0.05"]
+FUZZ_FLAGS = {
+    "--level": FUZZ_FLOATS,
+    "--exponent": FUZZ_FLOATS,
+    "--replicates": ["-1", "0", "1", "20"],
+    "--seed": ["-1", "0", str(2**64 - 1), str(2**64)],
+    "--block-length": ["auto", "0", "-3", "1", str(FUZZ_N), str(FUZZ_N + 1)],
+    "--kernel": ["product", "gaussian:1.0", "gaussian:inf", "gaussian:1e-320", "cvm:normal",
+                 "cvm:normal:0,inf", "cvm:uniform:0,inf"],
+    "--dist": ["normal", "uniform:0,1", "t:5", "t:inf", "normal:0,inf", "normal:inf,1",
+               "t:5,inf", "uniform:0,inf"],
+    "--statistic": ["mean-norm", "lrv"],
+}
+FUZZ_COMMANDS = {
+    "bootstrap": ("--exponent", "--replicates", "--seed", "--block-length", "--statistic"),
+    "cvm-test": ("--level", "--exponent", "--replicates", "--seed", "--block-length", "--dist"),
+    "vstat-test": ("--level", "--exponent", "--replicates", "--seed", "--block-length",
+                   "--kernel"),
+    "two-sample": ("--level", "--exponent", "--replicates", "--seed", "--block-length"),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A 40-row scalar series and a 40 x 3 functional series, written once."""
+    root = tmp_path_factory.mktemp("fuzz")
+    values = np.random.default_rng(8).standard_normal((FUZZ_N, 3))
+    paths = []
+    for name, sample in (("scalar.csv", HilbertSample.from_scalars(values[:, 0])),
+                         ("functional.csv", HilbertSample(np.linspace(0, 1, 3), np.ones(3),
+                                                          values))):
+        write_sample(sample, str(root / name))
+        paths.append(str(root / name))
+    return root, paths
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_fuzzed_flags_exit_0_or_2_with_one_error_line(fuzz_files, command, data):
+    root, paths = fuzz_files
+    argv = [command]
+    for flag in ("--data-x", "--data-y") if command == "two-sample" else ("--data",):
+        argv += [flag, data.draw(st.sampled_from(paths), label=flag)]
+    for flag in FUZZ_COMMANDS[command]:
+        value = data.draw(st.none() | st.sampled_from(FUZZ_FLAGS[flag]), label=flag)
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    if data.draw(st.booleans(), label="--freeze-dyadic"):
+        argv.append("--freeze-dyadic")
+    out = root / "out.json"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv + ["--out", str(out)])
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
+    assert out.exists() == (code == 0)

@@ -146,6 +146,35 @@ class TestMeanExperiment:
         assert sequential.report_json() == pooled.report_json()
         assert sequential.records_csv() == pooled.records_csv()
 
+    # (workers, CPUs, pool size): never more processes than replications or CPUs.
+    @pytest.mark.parametrize("workers, cpus, size", [
+        (100000, 3, 3), (100000, 64, 12), (2, 64, 2), (100000, None, None),
+    ])
+    def test_worker_pool_is_capped(self, monkeypatch, workers, cpus, size):
+        import concurrent.futures
+        import os
+
+        sizes = []
+
+        class SerialPool:  # records its size and starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        pooled = run_experiment(mean_config(replications=12), workers=workers)
+        assert sizes == ([] if size is None else [size])
+        assert pooled.records_csv() == run_experiment(mean_config(replications=12)).records_csv()
+
     def test_reasonable_coverage_at_small_scale(self):
         report = run_experiment(mean_config(replications=200, replicates=300))
         assert 0.80 <= report.aggregates["coverage"] <= 0.98

@@ -264,17 +264,15 @@ def replicate_paths(s, y, plan, B, seed):
     """``{name: (k, run)}``: every path to replicate values; ``k`` sums its sources."""
     k = plan.k
 
-    def harness(evaluate, *tags, row_shape=()):
+    def harness(evaluate, *tags):
         return lambda: replicate_values(
-            B, evaluate, *[generator_draws(plan, derive_stream(seed, tag)) for tag in tags],
-            row_shape=row_shape)
+            B, evaluate, *[generator_draws(plan, derive_stream(seed, tag)) for tag in tags])
 
     paths = {}
     for name, (statistic, _) in COUNT_STATISTICS.items():
         paths[name] = (k, lambda st=statistic: bootstrap_distribution(
             s, plan, B, st, seed).replicates)
-        paths[name + "/harness"] = (k, harness(statistic.evaluator(s, plan), 2,
-                                               row_shape=(s.d,) if name == "mean" else ()))
+        paths[name + "/harness"] = (k, harness(statistic.evaluator(s, plan), 2))
     paths["callable"] = (k, lambda: bootstrap_distribution(
         s, plan, B, _order_sensitive, seed).replicates)
     paths["two-sample"] = (2 * k, lambda: two_sample_test(
