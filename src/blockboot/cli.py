@@ -4,9 +4,9 @@ Subcommands: ``generate``, ``bootstrap``, ``cvm-test``, ``vstat-test``,
 ``two-sample``, ``montecarlo``.  Reports are JSON with a fixed key order and
 no timestamps, so a fixed seed yields byte-identical output across runs and
 thread counts.  Exit codes: 0 success, 2 configuration error (or a
-non-finite statistic, or more ``--replicates`` than fit in memory), 3
-failure-policy breach in a Monte Carlo run, 4 the ``--workers`` process pool
-failed.
+non-finite statistic, or an input too large to allocate, such as more
+``--replicates`` than fit in memory), 3 failure-policy breach in a Monte Carlo
+run, 4 the ``--workers`` process pool failed.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _plan_from_args(n: int, args) -> BlockPlan:
+    """The block plan of the flags, warning on stderr when it discards observations."""
     if args.block_length != "auto":
         try:
             p = int(args.block_length)
@@ -61,33 +62,44 @@ def _plan_from_args(n: int, args) -> BlockPlan:
             ) from exc
         if not 1 <= p <= n:
             raise ConfigError(f"--block-length must be in 1..n={n}, got {p}")
-        return BlockPlan(n=n, p=p)
-    return block_length_schedule(n, args.exponent, args.freeze_dyadic)
-
-
-def _warn_discard(plan: BlockPlan) -> None:
+        plan = BlockPlan(n=n, p=p)
+    else:
+        plan = block_length_schedule(n, args.exponent, args.freeze_dyadic)
     if plan.discarded > 0:
         print(
             f"warning: discarding the trailing {plan.discarded} of {plan.n} "
             f"observations (k*p = {plan.kp})",
             file=sys.stderr,
         )
+    return plan
 
 
-def _add_plan_flags(parser: argparse.ArgumentParser) -> None:
+def _scalar_series(args):
+    """The ``--data`` series, which must be scalar, and its block plan."""
+    sample = read_sample(args.data, None)
+    if sample.d != 1:
+        raise ConfigError(f"{args.command} expects a scalar series")
+    return sample, _plan_from_args(sample.n, args)
+
+
+def _add_bootstrap_flags(parser: argparse.ArgumentParser) -> None:
+    """The block plan, replicate and output flags every bootstrap command shares."""
     parser.add_argument("--block-length", default="auto",
                         help="block length p, or 'auto' for the n**exponent schedule")
     parser.add_argument("--exponent", type=float, default=1.0 / 3.0,
                         help="schedule exponent in (0, 1); default 1/3")
     parser.add_argument("--freeze-dyadic", action="store_true",
                         help="evaluate the schedule at the next power of two")
+    parser.add_argument("--replicates", type=int, default=1000, help="bootstrap replicates B")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", required=True, help="output report JSON")
 
 
-def _test_payload(command: str, result: dict, plan: BlockPlan, args, extra: dict | None = None) -> dict:
+def _test_payload(result: dict, plan: BlockPlan, args, extra: dict | None = None) -> dict:
     payload = {
         "schema": 1,
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "plan": plan.to_dict(),
         "seed": args.seed,
         "level": args.level,
@@ -119,7 +131,6 @@ def cmd_generate(args) -> int:
 def cmd_bootstrap(args) -> int:
     sample = read_sample(args.data, args.sidecar)
     plan = _plan_from_args(sample.n, args)
-    _warn_discard(plan)
     if args.statistic == "mean-norm":
         statistic = MeanNormStatistic()
     elif args.statistic == "lrv":
@@ -153,31 +164,23 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_cvm_test(args) -> int:
-    sample = read_sample(args.data, None)
-    if sample.d != 1:
-        raise ConfigError("cvm-test expects a scalar series")
-    plan = _plan_from_args(sample.n, args)
-    _warn_discard(plan)
+    sample, plan = _scalar_series(args)
     dist = distribution_from_token(args.dist)
     spec = make_cvm_spec(dist.cdf, dist.support, dist.weight_fn, sample=sample)
     result = cvm_test(sample, spec, plan, args.replicates, args.seed, args.level)
-    payload = _test_payload("cvm-test", result, plan, args, {"null": dist.name})
+    payload = _test_payload(result, plan, args, {"null": dist.name})
     _write_json(args.out, payload)
     return 0
 
 
 def cmd_vstat_test(args) -> int:
-    sample = read_sample(args.data, None)
-    if sample.d != 1:
-        raise ConfigError("vstat-test expects a scalar series")
-    plan = _plan_from_args(sample.n, args)
-    _warn_discard(plan)
+    sample, plan = _scalar_series(args)
     kernel = kernel_from_token(args.kernel)
     result = vstat_test(sample, kernel, plan, args.replicates, args.seed, args.level)
     probes = np.quantile(sample.scalars(), np.linspace(0.05, 0.95, 19))
     probes = np.unique(probes)
     diagnostic = degeneracy_diagnostic(sample, kernel, probes)
-    payload = _test_payload("vstat-test", result, plan, args, {
+    payload = _test_payload(result, plan, args, {
         "kernel": kernel.name,
         "degeneracy_diagnostic": diagnostic,
     })
@@ -191,9 +194,8 @@ def cmd_two_sample(args) -> int:
     if x.n != y.n:
         raise ConfigError(f"samples must have equal length, got {x.n} and {y.n}")
     plan = _plan_from_args(x.n, args)
-    _warn_discard(plan)
     result = two_sample_test(x, y, plan, plan, args.replicates, args.seed, args.level)
-    payload = _test_payload("two-sample", result, plan, args)
+    payload = _test_payload(result, plan, args)
     _write_json(args.out, payload)
     return 0
 
@@ -232,34 +234,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bootstrap", help="bootstrap distribution of a statistic")
     p.add_argument("--data", required=True)
     p.add_argument("--sidecar", default=None)
-    _add_plan_flags(p)
-    p.add_argument("--replicates", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_bootstrap_flags(p)
     p.add_argument("--statistic", default="mean-norm", choices=("mean-norm", "lrv"))
-    p.add_argument("--out", required=True, help="output report JSON")
     p.add_argument("--raw-out", default=None, help="optional CSV of raw replicates")
     p.set_defaults(func=cmd_bootstrap)
 
     p = sub.add_parser("cvm-test", help="goodness-of-fit test for a scalar series")
     p.add_argument("--data", required=True)
-    _add_plan_flags(p)
+    _add_bootstrap_flags(p)
     p.add_argument("--dist", default="normal",
                    help="null distribution token, e.g. normal, uniform:0,1, t:6")
-    p.add_argument("--replicates", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--level", type=float, default=0.05)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cvm_test)
 
     p = sub.add_parser("vstat-test", help="degenerate V-statistic bootstrap test")
     p.add_argument("--data", required=True)
-    _add_plan_flags(p)
+    _add_bootstrap_flags(p)
     p.add_argument("--kernel", default="product",
                    help="kernel token: product, gaussian:<bw>, cvm:<dist>")
-    p.add_argument("--replicates", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--level", type=float, default=0.05)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_vstat_test)
 
     p = sub.add_parser("two-sample", help="bootstrap test for equal means")
@@ -267,11 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-y", required=True)
     p.add_argument("--sidecar-x", default=None)
     p.add_argument("--sidecar-y", default=None)
-    _add_plan_flags(p)
-    p.add_argument("--replicates", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_bootstrap_flags(p)
     p.add_argument("--level", type=float, default=0.05)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_two_sample)
 
     p = sub.add_parser("montecarlo", help="run a Monte Carlo experiment from a config file")
@@ -290,7 +280,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BlockbootError, ValueError, OSError) as exc:
+    except (BlockbootError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenExecutor as exc:  # e.g. a --workers process was killed

@@ -2,9 +2,12 @@
 
 A process file has a ``[process]`` section (plus ``[grid]`` for functional
 kinds); an experiment file has ``[experiment]``, ``[process]`` and optional
-``[process_y]``/``[grid]`` sections.  Key sets are strict: unknown keys are
-rejected so typos cannot silently fall back to defaults.  See the README for
-the documented key set.
+``[process_y]``/``[grid]`` sections.  Each section is read through one key
+table mapping every accepted key to its converter: unknown keys are rejected
+so typos cannot silently fall back to defaults, and an absent key takes the
+default of :class:`ProcessConfig`, :class:`GridSpec` or
+:class:`ExperimentConfig`.  Values are read literally (no ``%``
+interpolation).  See the README for the documented key set.
 """
 
 from __future__ import annotations
@@ -16,54 +19,6 @@ from .generators import ProcessConfig
 from .harness import ExperimentConfig, GridSpec
 
 SCHEMA = 1
-
-_PROCESS_KEYS = {
-    "schema", "kind", "phi", "coefficients", "basis_size",
-    "innovation", "t_df", "seed", "burn_in",
-}
-_GRID_KEYS = {"points", "lo", "hi", "weight"}
-_EXPERIMENT_KEYS = {
-    "schema", "statistic", "n", "replicates", "replications", "level",
-    "master_seed", "block_length", "exponent", "dyadic_freeze",
-    "null", "mean_shift",
-}
-
-
-def _read(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
-    return parser
-
-
-def _check_keys(section, allowed: set, where: str) -> None:
-    unknown = set(section.keys()) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in [{where}]: {', '.join(sorted(unknown))}")
-
-
-def _check_schema(section, where: str) -> None:
-    if "schema" not in section:
-        raise ConfigError(f"[{where}] must carry 'schema = {SCHEMA}'")
-    if section.get("schema").strip() != str(SCHEMA):
-        raise ConfigError(
-            f"unsupported schema {section.get('schema')!r} in [{where}]; this version reads schema {SCHEMA}"
-        )
-
-
-def _get(section, key, conv, default):
-    if key not in section:
-        return default
-    raw = section.get(key).strip()
-    try:
-        return conv(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
 
 
 def _to_bool(raw: str) -> bool:
@@ -79,87 +34,112 @@ def _to_coefficients(raw: str) -> tuple:
     return tuple(float(tok) for tok in raw.split(",") if tok.strip())
 
 
-def parse_process_section(section, where: str = "process",
-                          require_schema: bool = True) -> ProcessConfig:
-    _check_keys(section, _PROCESS_KEYS, where)
-    if require_schema:
-        _check_schema(section, where)
+# Accepted keys and their converters, in the order values are converted.
+# ``schema`` maps to None: it is no field; a file's leading section checks it.
+_PROCESS = {
+    "schema": None, "kind": str.strip, "phi": float, "coefficients": _to_coefficients,
+    "basis_size": int, "innovation": str.strip, "t_df": float, "seed": int, "burn_in": int,
+}
+_GRID = {"points": int, "lo": float, "hi": float, "weight": float}
+_EXPERIMENT = {
+    "schema": None, "statistic": str.strip, "n": int, "replicates": int, "replications": int,
+    "level": float, "master_seed": int, "block_length": int, "exponent": float,
+    "dyadic_freeze": _to_bool, "mean_shift": float, "null": str.strip,
+}
+
+
+def _read(path: str) -> configparser.ConfigParser:
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
+    return parser
+
+
+def _check_keys(section, table: dict, where: str) -> None:
+    unknown = set(section.keys()) - table.keys()
+    if unknown:
+        raise ConfigError(f"unknown keys in [{where}]: {', '.join(sorted(unknown))}")
+
+
+def _head(parser, name: str, table: dict, path: str):
+    """The file's leading section ``name``, with its keys and schema checked."""
+    if name not in parser:
+        raise ConfigError(f"{path!r} has no [{name}] section")
+    section = parser[name]
+    _check_keys(section, table, name)
+    if "schema" not in section:
+        raise ConfigError(f"[{name}] must carry 'schema = {SCHEMA}'")
+    if section.get("schema").strip() != str(SCHEMA):
+        raise ConfigError(
+            f"unsupported schema {section.get('schema')!r} in [{name}]; this version reads schema {SCHEMA}"
+        )
+    return section
+
+
+def _check_sections(parser, allowed: set) -> None:
+    extra = set(parser.sections()) - allowed
+    if extra:
+        raise ConfigError(f"unexpected sections: {', '.join(sorted(extra))}")
+
+
+def _convert(section, table: dict) -> dict:
+    """The keys present in ``section``, each through its converter in ``table``."""
+    values = {}
+    for key, conv in table.items():
+        if conv is not None and key in section:
+            raw = section.get(key).strip()
+            try:
+                values[key] = conv(raw)
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
+    return values
+
+
+def parse_process_section(section, where: str = "process") -> ProcessConfig:
+    _check_keys(section, _PROCESS, where)
     if "kind" not in section:
         raise ConfigError(f"[{where}] needs a 'kind'")
-    return ProcessConfig(
-        kind=section.get("kind").strip(),
-        phi=_get(section, "phi", float, 0.0),
-        coefficients=_get(section, "coefficients", _to_coefficients, (1.0,)),
-        basis_size=_get(section, "basis_size", int, 8),
-        innovation=_get(section, "innovation", str.strip, "gaussian"),
-        t_df=_get(section, "t_df", float, 6.0),
-        seed=_get(section, "seed", int, 0),
-        burn_in=_get(section, "burn_in", int, 1000),
-    )
+    return ProcessConfig(**_convert(section, _PROCESS))
 
 
-def parse_grid_section(section) -> GridSpec:
-    _check_keys(section, _GRID_KEYS, "grid")
+def _grid(parser) -> GridSpec | None:
+    if "grid" not in parser:
+        return None
+    section = parser["grid"]
+    _check_keys(section, _GRID, "grid")
     if "points" not in section:
         raise ConfigError("[grid] needs 'points'")
-    return GridSpec(
-        points=_get(section, "points", int, None),
-        lo=_get(section, "lo", float, 0.0),
-        hi=_get(section, "hi", float, 1.0),
-        weight=_get(section, "weight", float, 1.0),
-    )
+    return GridSpec(**_convert(section, _GRID))
 
 
 def load_process_config(path: str) -> tuple[ProcessConfig, GridSpec | None]:
     """Read a process file: ([process], optional [grid])."""
     parser = _read(path)
-    if "process" not in parser:
-        raise ConfigError(f"{path!r} has no [process] section")
-    process = parse_process_section(parser["process"])
-    grid = parse_grid_section(parser["grid"]) if "grid" in parser else None
+    process = parse_process_section(_head(parser, "process", _PROCESS, path))
+    grid = _grid(parser)
     if process.is_functional and grid is None:
         raise ConfigError(f"functional kind {process.kind!r} needs a [grid] section")
-    extra = set(parser.sections()) - {"process", "grid"}
-    if extra:
-        raise ConfigError(f"unexpected sections: {', '.join(sorted(extra))}")
+    _check_sections(parser, {"process", "grid"})
     return process, grid
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
     """Read an experiment file into an :class:`ExperimentConfig`."""
     parser = _read(path)
-    if "experiment" not in parser:
-        raise ConfigError(f"{path!r} has no [experiment] section")
-    section = parser["experiment"]
-    _check_keys(section, _EXPERIMENT_KEYS, "experiment")
-    _check_schema(section, "experiment")
+    section = _head(parser, "experiment", _EXPERIMENT, path)
     if "process" not in parser:
         raise ConfigError(f"{path!r} has no [process] section")
     for required in ("statistic", "n", "replicates", "replications", "level", "master_seed"):
         if required not in section:
             raise ConfigError(f"[experiment] needs {required!r}")
-    extra = set(parser.sections()) - {"experiment", "process", "process_y", "grid"}
-    if extra:
-        raise ConfigError(f"unexpected sections: {', '.join(sorted(extra))}")
-    process = parse_process_section(parser["process"], require_schema=False)
-    process_y = None
-    if "process_y" in parser:
-        process_y = parse_process_section(parser["process_y"], where="process_y",
-                                          require_schema=False)
-    grid = parse_grid_section(parser["grid"]) if "grid" in parser else None
-    return ExperimentConfig(
-        statistic=section.get("statistic").strip(),
-        process=process,
-        n=_get(section, "n", int, None),
-        replicates=_get(section, "replicates", int, None),
-        replications=_get(section, "replications", int, None),
-        level=_get(section, "level", float, None),
-        master_seed=_get(section, "master_seed", int, None),
-        block_length=_get(section, "block_length", int, None),
-        exponent=_get(section, "exponent", float, 1.0 / 3.0),
-        dyadic_freeze=_get(section, "dyadic_freeze", _to_bool, True),
-        grid=grid,
-        process_y=process_y,
-        mean_shift=_get(section, "mean_shift", float, 0.0),
-        null=_get(section, "null", str.strip, "auto"),
-    )
+    _check_sections(parser, {"experiment", "process", "process_y", "grid"})
+    process = parse_process_section(parser["process"])
+    process_y = (parse_process_section(parser["process_y"], "process_y")
+                 if "process_y" in parser else None)
+    return ExperimentConfig(process=process, process_y=process_y, grid=_grid(parser),
+                            **_convert(section, _EXPERIMENT))

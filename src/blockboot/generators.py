@@ -197,16 +197,13 @@ def _noise_basis(cfg: ProcessConfig, grid: np.ndarray) -> np.ndarray:
         u = (grid - grid[0]) / (grid[-1] - grid[0])
     else:
         u = np.zeros(1)
-    rows = []
-    rows.append(np.ones_like(u))
-    j = 1
-    while len(rows) < cfg.basis_size:
-        rows.append(math.sqrt(2.0) * np.cos(2.0 * math.pi * j * u))
-        if len(rows) < cfg.basis_size:
-            rows.append(math.sqrt(2.0) * np.sin(2.0 * math.pi * j * u))
-        j += 1
-    basis = np.stack(rows)
-    amps = 0.5 ** np.arange(cfg.basis_size, dtype=np.float64)
+    # Row 0 is constant; rows 2j - 1 and 2j are the cosine and sine of frequency j.
+    size = cfg.basis_size
+    angles = (2.0 * math.pi * np.arange(1, size // 2 + 1))[:, None] * u
+    basis = np.ones((size, u.size))
+    basis[1::2] = math.sqrt(2.0) * np.cos(angles)
+    basis[2::2] = math.sqrt(2.0) * np.sin(angles[: (size - 1) // 2])
+    amps = 0.5 ** np.arange(size, dtype=np.float64)
     return basis * amps[:, None]
 
 

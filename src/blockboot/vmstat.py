@@ -98,8 +98,9 @@ def gaussian_kernel(bandwidth: float = 1.0) -> Kernel:
     inv = 1.0 / float(bandwidth)
 
     def evaluate(x, y):
-        z = (x - y) * inv
-        return np.exp(-z * z)
+        with np.errstate(over="ignore"):  # z * z = inf gives exp(-inf) = 0, as it should
+            z = (x - y) * inv
+            return np.exp(-z * z)
 
     return Kernel(name=f"gaussian:{bandwidth}", eval=evaluate)
 
@@ -324,10 +325,9 @@ def degeneracy_diagnostic(s: HilbertSample, h: Kernel, probes) -> float:
     return float(np.max(np.abs(totals / x.size)))
 
 
-def _block_pair_sums(x: np.ndarray, plan: BlockPlan, h: Kernel) -> np.ndarray:
+def _block_pair_sums(lead: np.ndarray, plan: BlockPlan, h: Kernel) -> np.ndarray:
     """Kernel mass between block pairs: ``T[a, b] = sum_{i in B_a, j in B_b} h``."""
     k, p, kp = plan.k, plan.p, plan.kp
-    lead = x[:kp]
     blocks = _tile_size(p * kp)
     T = np.empty((k, k))
     for a in range(0, k, blocks):
@@ -359,6 +359,25 @@ def _max_block_gram(lead: np.ndarray, plan: BlockPlan, g) -> np.ndarray:
     return A + A.T - np.diag(g_blocks.sum(axis=1))
 
 
+def _leading(s: HilbertSample, plan: BlockPlan) -> np.ndarray:
+    """The first ``kp`` scalars of ``s``, which the bootstrap resamples."""
+    x = s.scalars()
+    if x.size < plan.kp:
+        raise PlanMismatchError(f"sample is shorter than kp={plan.kp}")
+    return x[: plan.kp]
+
+
+def _gram_evaluator(T: np.ndarray, kp: int):
+    """Count rows to ``v^T T v / kp`` with ``v = counts - 1``, row by row."""
+
+    def evaluator(counts: np.ndarray) -> np.ndarray:
+        v = counts.astype(np.float64) - 1.0
+        half = np.einsum("bi,ij->bj", v, T, optimize=False)
+        return np.sum(half * v, axis=1) / kp
+
+    return evaluator
+
+
 def vstat_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, h: Kernel):
     """Closure mapping block-count rows to three-term bootstrap values.
 
@@ -374,12 +393,9 @@ def vstat_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, h: Kernel):
     max profile the separable part cancels (``sum v = 0``), so ``T`` sums
     ``g(max)``.  No reduction uses BLAS, so no value depends on the thread count.
     """
-    x = s.scalars()
-    if x.size < plan.kp:
-        raise PlanMismatchError(f"sample is shorter than kp={plan.kp}")
-    kp = plan.kp
+    lead, kp = _leading(s, plan), plan.kp
     if h.features is not None:
-        S = np.sum(h.features(x[:kp]).reshape(plan.k, plan.p, -1), axis=1)
+        S = np.sum(h.features(lead).reshape(plan.k, plan.p, -1), axis=1)
 
         def evaluator(counts: np.ndarray) -> np.ndarray:
             v = counts.astype(np.float64) - 1.0
@@ -387,15 +403,8 @@ def vstat_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, h: Kernel):
             return np.sum(proj * proj, axis=1) / kp
 
         return evaluator
-    T = (_block_pair_sums(x, plan, h) if h.max_profile is None
-         else _max_block_gram(x[:kp], plan, h.max_profile))
-
-    def evaluator(counts: np.ndarray) -> np.ndarray:
-        v = counts.astype(np.float64) - 1.0
-        half = np.einsum("bi,ij->bj", v, T, optimize=False)
-        return np.sum(half * v, axis=1) / kp
-
-    return evaluator
+    return _gram_evaluator(_block_pair_sums(lead, plan, h) if h.max_profile is None
+                           else _max_block_gram(lead, plan, h.max_profile), kp)
 
 
 def cvm_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, spec: CvmSpec):
@@ -410,21 +419,17 @@ def cvm_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, spec: CvmSpec):
     F(t)) (1{y <= t} - F(t))``.  Since ``1{x <= t} 1{y <= t} = 1{max(x, y) <= t}``,
     ``h(x, y) = Wtail(max(x, y)) - G(x) - G(y) + C`` with ``Wtail(x)`` the
     weight of the grid points ``>= x``, ``G(x) = sum_{t >= x} w_t F(t)`` and
-    ``C = sum_t w_t F(t)^2``: :func:`vstat_bootstrap_evaluator` on a max
-    profile ``Wtail``, whose Gram takes ``O(kp log kp + kp k)``, whatever the grid,
+    ``C = sum_t w_t F(t)^2``.  The separable part cancels in ``v^T T v``
+    (``sum v = 0``), so the values are those of
+    :func:`vstat_bootstrap_evaluator` on the max profile ``Wtail``, whose Gram
+    takes ``O(kp log kp + kp k)``, whatever the grid,
 
         T[a, b] = sum_{i in B_a, j in B_b} Wtail(max(x_i, x_j)).
     """
-
-    def suffix_sum(weights):  # x -> the sum of ``weights`` over the grid points >= x
-        tail = np.append(np.cumsum(weights[::-1])[::-1], 0.0)
-        return lambda x: tail[np.searchsorted(spec.grid, x, side="left")]
-
-    wtail, G = suffix_sum(spec.weights), suffix_sum(spec.weights * spec.cdf_values)
-    C = float(np.sum(spec.weights * spec.cdf_values ** 2))
-    kernel = Kernel(name="cvm-spec", eval=lambda x, y: wtail(np.maximum(x, y)) - (G(x) + G(y)) + C,
-                    max_profile=wtail)
-    return vstat_bootstrap_evaluator(s, plan, kernel)
+    lead = _leading(s, plan)
+    tail = np.append(np.cumsum(spec.weights[::-1])[::-1], 0.0)
+    T = _max_block_gram(lead, plan, lambda x: tail[np.searchsorted(spec.grid, x, side="left")])
+    return _gram_evaluator(T, plan.kp)
 
 
 def vstat_test(s: HilbertSample, h: Kernel, plan: BlockPlan, B: int, seed: int,

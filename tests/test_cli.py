@@ -7,7 +7,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import blockboot.harness as harness
@@ -427,3 +427,140 @@ def test_fuzzed_flags_exit_0_or_2_with_one_error_line(fuzz_files, command, data)
     if code:
         assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
     assert out.exists() == (code == 0)
+
+
+class TestLiteralValues:
+    """INI values are read literally: a ``%`` is an ordinary character."""
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("montecarlo", EXPERIMENT_INI.replace("level = 0.10", "level = 10%"),
+         "bad value for 'level': '10%'"),
+        ("generate", PROCESS_INI.replace("innovation = gaussian", "innovation = %(x)s"),
+         "unknown innovation '%(x)s'"),
+    ])
+    def test_percent_values_exit_2_with_one_error_line(self, tmp_path, capsys, command, text,
+                                                        message):
+        config = tmp_path / "percent.ini"
+        config.write_text(text)
+        out = tmp_path / "out"
+        extra = ["--n", "20"] if command == "generate" else []
+        assert run_cli(command, "--config", str(config), *extra, "--out", str(out)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {message}"]
+        assert not out.exists()
+
+
+def test_unallocatable_input_exits_2_with_one_error_line(tmp_path, monkeypatch, process_file,
+                                                         capsys):
+    import blockboot.cli as cli
+
+    def unallocatable(cfg, n):
+        raise MemoryError(f"Unable to allocate an array for {n} observations")
+
+    monkeypatch.setattr(cli, "generate_real", unallocatable)
+    out = tmp_path / "huge.csv"
+    assert run_cli("generate", "--config", process_file, "--n", "1000000000000",
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "1000000000000" in err[0]
+    assert not out.exists()
+
+
+# Generated INI files: a file of each key's own tokens (some out of range),
+# then up to three faults: a key dropped or set to a token of any type, a
+# section dropped or an unknown one added.  Size keys take only small values
+# of their own; no token below parses as a large integer.
+INI_TOKENS = ["nan", "inf", "-inf", "-1", "0", "1e308", "", "abc", "%", "10%", " 7 ", "%(x)s",
+              "2"]
+INI_SIZES = {"n": 64, "replicates": 20, "replications": 3, "points": 16, "basis_size": 8,
+             "burn_in": 50}
+INI_VALUES = {
+    "schema": ["1"],
+    "kind": ["iid", "ar1-real", "linear-real", "ar1-functional", "doubling-map-functional"],
+    "phi": ["0.5", "-0.3"],
+    "coefficients": ["1.0, 0.5", "1"],
+    "innovation": ["gaussian", "uniform", "student-t"],
+    "t_df": ["6", "4"],
+    "seed": ["3", str(2**64 - 1)],
+    "lo": ["0.0", "-1"],
+    "hi": ["1.0", "2"],
+    "weight": ["1.0", "2"],
+    "statistic": ["mean-norm", "two-sample-mean", "cvm", "vstat:product", "vstat:gaussian:1.0",
+                  "vstat:cvm:normal", "mean"],
+    "level": ["0.1", "0.05"],
+    "master_seed": ["5", str(2**64 - 1)],
+    "block_length": ["3", "8"],
+    "exponent": ["0.33", "0.5"],
+    "dyadic_freeze": ["true", "no", "maybe"],
+    "mean_shift": ["0.5", "-2"],
+    "null": ["auto", "normal", "uniform:0,1", "t:5", "nosuch"],
+}
+INI_KEYS = {
+    "process": ["schema", "kind", "phi", "coefficients", "basis_size", "innovation", "t_df",
+                "seed", "burn_in"],
+    "grid": ["points", "lo", "hi", "weight"],
+    "experiment": ["schema", "statistic", "n", "replicates", "replications", "level",
+                   "master_seed", "block_length", "exponent", "dyadic_freeze", "mean_shift",
+                   "null"],
+}
+INI_KEYS["process_y"] = INI_KEYS["process"]
+INI_REQUIRED = {"schema", "kind", "points", "statistic", "n", "replicates", "replications",
+                "level", "master_seed"}
+INI_FILES = {
+    "generate": ("process", "grid"),
+    "montecarlo": ("experiment", "process", "process_y", "grid"),
+}
+
+
+def draw_ini(data, command) -> str:
+    sections = {}
+    for name in INI_FILES[command]:
+        if name == "process_y" and not data.draw(st.booleans(), label=f"[{name}]"):
+            continue
+        sections[name] = {}
+        for key in INI_KEYS[name]:
+            if key in INI_REQUIRED or data.draw(st.booleans(), label=f"{name}.{key}?"):
+                value = (st.integers(1, INI_SIZES[key]).map(str) if key in INI_SIZES
+                         else st.sampled_from(INI_VALUES[key]))
+                sections[name][key] = data.draw(value, label=f"{name}.{key}")
+    names = [*INI_FILES[command], "extra"]
+    keys = sorted({key for section in INI_KEYS.values() for key in section} | {"phii"})
+    fault = st.tuples(st.sampled_from(names), st.none() | st.sampled_from(keys),
+                      st.none() | st.sampled_from(INI_TOKENS))
+    for name, key, value in data.draw(st.lists(fault, max_size=3), label="faults"):
+        if key is None:
+            sections.pop(name, None)
+        elif value is None:
+            sections.get(name, {}).pop(key, None)
+        else:
+            sections.setdefault(name, {})[key] = value
+    return "".join(f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in lines.items())
+                   for name, lines in sections.items())
+
+
+@pytest.mark.parametrize("command", sorted(INI_FILES))
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_fuzzed_config_files_exit_0_2_or_3_with_one_error_line(tmp_path_factory, command, data):
+    root = tmp_path_factory.mktemp("ini")
+    config = root / "config.ini"
+    config.write_text(draw_ini(data, command))
+    out = root / "out"
+    argv = [command, "--config", str(config), "--out", str(out)]
+    if command == "generate":
+        n = st.integers(1, INI_SIZES["n"]).map(str) | st.sampled_from(["-1", "0", "x"])
+        argv.append(f"--n={data.draw(n, label='--n')}")
+    elif data.draw(st.booleans(), label="--workers?"):
+        argv.append(f"--workers={data.draw(st.sampled_from([-1, 0, 1]), label='--workers')}")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    event(f"exit {code}")
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
+    assert out.exists() == (code in (0, 3))

@@ -5,7 +5,7 @@ import pytest
 
 from blockboot import ProcessConfig, generate_functional, generate_real
 from blockboot.exceptions import ConfigError
-from blockboot.generators import _doubling_orbit
+from blockboot.generators import _doubling_orbit, _noise_basis
 from blockboot.rng import derive_stream
 from oracles import ar1_long_run_variance
 
@@ -146,6 +146,28 @@ class TestFunctionalGenerators:
         cfg = ProcessConfig(kind="doubling-map-functional", seed=114)
         s = generate_functional(cfg, 10, GRID, w)
         assert np.array_equal(s.weights, trapezoid_weights(GRID, w))
+
+
+def loop_noise_basis(basis_size, grid):
+    """The noise basis built row by row: 1, then cos and sin of frequency 1, 2, ..."""
+    u = (grid - grid[0]) / (grid[-1] - grid[0]) if grid.size > 1 else np.zeros(1)
+    rows = [np.ones_like(u)]
+    j = 1
+    while len(rows) < basis_size:
+        rows.append(math.sqrt(2.0) * np.cos(2.0 * math.pi * j * u))
+        if len(rows) < basis_size:
+            rows.append(math.sqrt(2.0) * np.sin(2.0 * math.pi * j * u))
+        j += 1
+    return np.stack(rows) * (0.5 ** np.arange(basis_size, dtype=np.float64))[:, None]
+
+
+class TestNoiseBasis:
+    @pytest.mark.parametrize("points", [1, 2, 5, 32, 101, 257])
+    def test_equals_the_row_by_row_basis_bitwise(self, points):
+        grid = np.linspace(-1.0, 2.5, points)
+        for basis_size in range(1, 40):
+            cfg = ProcessConfig(kind="ar1-functional", basis_size=basis_size)
+            assert _noise_basis(cfg, grid).tobytes() == loop_noise_basis(basis_size, grid).tobytes()
 
 
 class TestDoublingMap:

@@ -448,6 +448,15 @@ class TestDegeneracyDiagnostic:
 
 
 class TestSingleShotTests:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_narrow_gaussian_kernel_runs_without_warnings(self):
+        # z * z overflows to inf off the diagonal, where exp(-inf) = 0 is the exact value
+        s = scalar_sample(derive_stream(67).standard_normal(40))
+        result = vstat_test(s, gaussian_kernel(1e-300), BlockPlan(n=40, p=4), B=50, seed=5,
+                            level=0.05)
+        assert result["statistic"] == pytest.approx(1.0)
+        assert np.all(np.isfinite(result["replicates"]))
+
     def test_vstat_test_report_shape(self):
         rng = derive_stream(65)
         s = scalar_sample(rng.standard_normal(200))
