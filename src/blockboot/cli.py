@@ -173,13 +173,24 @@ def cmd_cvm_test(args) -> int:
     return 0
 
 
+def _degeneracy_probes(x: np.ndarray) -> np.ndarray:
+    """The distinct 5%, 10%, ..., 95% quantiles of ``x``, all within ``[min, max]``.
+
+    Where ``max - min`` overflows, the quantiles of ``x / 2`` are doubled, so
+    the interpolation never forms an infinite difference.
+    """
+    levels = np.linspace(0.05, 0.95, 19)
+    with np.errstate(over="ignore"):
+        if np.isfinite(np.max(x) - np.min(x)):
+            return np.unique(np.quantile(x, levels))
+    return np.unique(np.clip(2.0 * np.quantile(0.5 * x, levels), np.min(x), np.max(x)))
+
+
 def cmd_vstat_test(args) -> int:
     sample, plan = _scalar_series(args)
     kernel = kernel_from_token(args.kernel)
     result = vstat_test(sample, kernel, plan, args.replicates, args.seed, args.level)
-    probes = np.quantile(sample.scalars(), np.linspace(0.05, 0.95, 19))
-    probes = np.unique(probes)
-    diagnostic = degeneracy_diagnostic(sample, kernel, probes)
+    diagnostic = degeneracy_diagnostic(sample, kernel, _degeneracy_probes(sample.scalars()))
     payload = _test_payload(result, plan, args, {
         "kernel": kernel.name,
         "degeneracy_diagnostic": diagnostic,

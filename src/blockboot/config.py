@@ -7,7 +7,8 @@ table mapping every accepted key to its converter: unknown keys are rejected
 so typos cannot silently fall back to defaults, and an absent key takes the
 default of :class:`ProcessConfig`, :class:`GridSpec` or
 :class:`ExperimentConfig`.  Values are read literally (no ``%``
-interpolation).  See the README for the documented key set.
+interpolation), and ``[DEFAULT]`` is an unknown section like any other.
+See the README for the documented key set.
 """
 
 from __future__ import annotations
@@ -49,7 +50,10 @@ _EXPERIMENT = {
 
 
 def _read(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header can name the empty section, so ``[DEFAULT]`` is an ordinary
+    # section, which ``_check_sections`` rejects, instead of one merged into
+    # every other section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)

@@ -13,7 +13,10 @@ of at most ``TILE_BYTES`` per temporary, and the partial sums are reduced in a
 fixed order, so results are deterministic for any thread count and memory
 stays bounded.  A kernel that declares a feature map (``O(n + B k)`` work)
 or a max profile (one sort, ``O(n log n + kp k + B k^2)``) skips the meshes;
-see :class:`Kernel`.  The CvM bootstrap is a max-profile V-statistic.
+see :class:`Kernel`.  Any other kernel's test walks the upper half of its
+symmetric mesh once (:func:`_mesh_sums`, about ``n^2 / 2`` evaluations) for
+both the observed ``n V_n`` and the block-pair sums ``T``.  The CvM bootstrap
+is a max-profile V-statistic.
 """
 
 from __future__ import annotations
@@ -54,7 +57,9 @@ class Kernel:
       ``h(x, y) = sum_l Phi_l(x) Phi_l(y)``: ``O(n + B k)`` work.
     * ``max_profile`` is a ``g`` with ``h(x, y) = g(max(x, y)) + f(x) + f(y)``,
       where ``f(x) = (h(x, x) - g(x)) / 2``: ``O(n log n + kp k + B k^2)``.
-    * otherwise kernel meshes: ``O(n^2 + B k^2)``.
+    * otherwise kernel meshes: :func:`vstat_test` reads ``h(x_i, x_j)`` for
+      ``j >= i`` only, about ``n^2 / 2`` evaluations plus ``O(B k^2)``; the
+      symmetry check is what makes the other half redundant.
     """
 
     name: str
@@ -148,7 +153,7 @@ def kernel_from_token(token: str) -> Kernel:
 
 def _tile_size(line: int) -> int:
     """How many float64 lines of length ``line`` fill one tile; at least one."""
-    return max(1, TILE_BYTES // (8 * line))
+    return max(1, TILE_BYTES // (8 * max(1, line)))
 
 
 def _pair_sum(x: np.ndarray, y: np.ndarray, h: Kernel) -> float:
@@ -325,16 +330,34 @@ def degeneracy_diagnostic(s: HilbertSample, h: Kernel, probes) -> float:
     return float(np.max(np.abs(totals / x.size)))
 
 
-def _block_pair_sums(lead: np.ndarray, plan: BlockPlan, h: Kernel) -> np.ndarray:
-    """Kernel mass between block pairs: ``T[a, b] = sum_{i in B_a, j in B_b} h``."""
+def _mesh_sums(x: np.ndarray, plan: BlockPlan, h: Kernel) -> tuple[np.ndarray, float]:
+    """Block-pair sums of the leading ``kp`` points and the total, from one half mesh.
+
+    Returns ``T[a, b] = sum_{i in B_a, j in B_b} h(x_i, x_j)`` and
+    ``total = sum_{i,j} h(x_i, x_j)`` over all of ``x``, the ``n - kp`` tail
+    included.  Row tiles of whole blocks ``a0 <= a < a1`` (at most
+    ``TILE_BYTES`` per temporary) evaluate ``h`` against the points from block
+    ``a0`` onward only, so ``h(x_i, x_j)`` is read for ``j >= i`` and in the
+    tiles' diagonal squares: about ``n^2 / 2`` evaluations.  The upper block
+    triangle ``U`` gives ``T = triu(U) + triu(U, 1)^T`` and the tile columns
+    past ``kp`` the tail cross sum, so ``total = sum T + 2 cross + tail mesh``.
+    Taking the lower triangle from the upper one is exact for a symmetric
+    ``h``, which :class:`Kernel` checks to 1e-12 on its probe pairs, and a
+    bootstrap value ``v^T T v`` depends only on the symmetric part of ``T``.
+    """
     k, p, kp = plan.k, plan.p, plan.kp
-    blocks = _tile_size(p * kp)
-    T = np.empty((k, k))
-    for a in range(0, k, blocks):
-        ah = min(a + blocks, k)
-        mesh = h.eval(lead[a * p : ah * p, None], lead[None, :])
-        T[a:ah] = mesh.reshape(ah - a, p, k, p).sum(axis=(1, 3))
-    return T
+    blocks = _tile_size(p * x.size)
+    U = np.empty((k, k))
+    cross = []
+    for a0 in range(0, k, blocks):
+        r0, a1 = a0 * p, min(a0 + blocks, k)
+        mesh = h.eval(x[r0 : a1 * p, None], x[None, r0:])
+        # Sum each block's rows, then each block's columns.
+        rows = mesh[:, : kp - r0].reshape(a1 - a0, p, -1).sum(axis=1)
+        U[a0:a1, a0:] = rows.reshape(a1 - a0, k - a0, p).sum(axis=2)
+        cross.append(np.sum(mesh[:, kp - r0 :]))
+    T = np.triu(U) + np.triu(U, 1).T
+    return T, float(np.sum(T) + 2.0 * np.sum(cross) + _pair_sum(x[kp:], x[kp:], h))
 
 
 def _max_block_gram(lead: np.ndarray, plan: BlockPlan, g) -> np.ndarray:
@@ -403,7 +426,7 @@ def vstat_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, h: Kernel):
             return np.sum(proj * proj, axis=1) / kp
 
         return evaluator
-    return _gram_evaluator(_block_pair_sums(lead, plan, h) if h.max_profile is None
+    return _gram_evaluator(_mesh_sums(lead, plan, h)[0] if h.max_profile is None
                            else _max_block_gram(lead, plan, h.max_profile), kp)
 
 
@@ -432,6 +455,21 @@ def cvm_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, spec: CvmSpec):
     return _gram_evaluator(T, plan.kp)
 
 
+def vstat_statistics(s: HilbertSample, plan: BlockPlan, h: Kernel) -> tuple[float, Callable]:
+    """Observed ``n * V_n`` and the evaluator of its bootstrap replicates.
+
+    A kernel with a feature map or a max profile takes :func:`v_statistic` and
+    :func:`vstat_bootstrap_evaluator`; a mesh kernel gets both the total over
+    the sample and the block-pair sums ``T`` of its leading ``kp`` points from
+    one :func:`_mesh_sums` walk over the half mesh.
+    """
+    plan.require_sample(s)
+    if h.features is None and h.max_profile is None:
+        T, total = _mesh_sums(s.scalars(), plan, h)
+        return total / s.n, _gram_evaluator(T, plan.kp)
+    return s.n * v_statistic(s, h), vstat_bootstrap_evaluator(s, plan, h)
+
+
 def vstat_test(s: HilbertSample, h: Kernel, plan: BlockPlan, B: int, seed: int,
                level: float) -> dict:
     """Bootstrap test based on the scaled V-statistic ``n * V_n``.
@@ -439,9 +477,7 @@ def vstat_test(s: HilbertSample, h: Kernel, plan: BlockPlan, B: int, seed: int,
     Critical values come from ``B`` bootstrap replicates of the three-term
     ``kp * V*``; replicate ``r`` draws from ``derive_stream(seed, r)``.
     """
-    plan.require_sample(s)
-    return bootstrap_test(s.n * v_statistic(s, h), vstat_bootstrap_evaluator(s, plan, h), level,
-                          B, stream_draws(plan, B, seed))
+    return bootstrap_test(*vstat_statistics(s, plan, h), level, B, stream_draws(plan, B, seed))
 
 
 def cvm_test(s: HilbertSample, spec: CvmSpec, plan: BlockPlan, B: int, seed: int,

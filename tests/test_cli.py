@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -429,6 +430,71 @@ def test_fuzzed_flags_exit_0_or_2_with_one_error_line(fuzz_files, command, data)
     assert out.exists() == (code == 0)
 
 
+# Generated CSV inputs: n <= 64 rows of one or two finite values each, then up
+# to three faults: a cell replaced by an awkward token, a cell added or
+# dropped (a ragged row), or a blank line inserted.  The block length divides
+# the rows read, so a successful run has no trailing observations to warn about.
+CSV_TOKENS = ["nan", "inf", "-inf", "1e308", "-1e308", "abc", ""]
+CSV_FLAGS = {
+    "bootstrap": ["--statistic=mean-norm", "--statistic=lrv"],
+    "cvm-test": ["--dist=normal", "--dist=uniform:-3,3"],
+    "vstat-test": ["--kernel=product", "--kernel=gaussian:1.0", "--kernel=cvm:normal"],
+    "two-sample": ["--level=0.1"],
+}
+
+
+def draw_csv(data, n, width, label) -> list[list[str]]:
+    rows = [[repr(v) for v in data.draw(st.lists(st.floats(-1e3, 1e3), min_size=width,
+                                                 max_size=width), label=f"{label} row")]
+            for _ in range(n)]
+    fault = st.tuples(st.integers(0, n - 1),
+                      st.sampled_from(["add", "drop", "blank"]) | st.sampled_from(CSV_TOKENS))
+    for row, kind in data.draw(st.lists(fault, max_size=3), label=f"{label} faults"):
+        if kind == "add":
+            rows[row].append("1.0")
+        elif kind == "drop":
+            rows[row] = rows[row][:-1]
+        elif kind == "blank":
+            rows.insert(row, [])
+        else:
+            rows[row][:1] = [kind]
+    return rows
+
+
+@pytest.mark.parametrize("command", sorted(CSV_FLAGS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fuzzed_csv_inputs_exit_0_2_3_or_4_with_one_error_line(tmp_path_factory, command,
+                                                                  data):
+    root = tmp_path_factory.mktemp("csv")
+    n = data.draw(st.integers(1, 64), label="n")
+    width = data.draw(st.sampled_from([1, 1, 2]), label="width")
+    argv = [command]
+    for flag in ("--data-x", "--data-y") if command == "two-sample" else ("--data",):
+        rows = draw_csv(data, n, width, flag)
+        path = root / f"{flag[2:]}.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        argv.append(f"{flag}={path}")
+    read = max(1, sum(map(any, rows)))  # the rows a parse would read
+    p = data.draw(st.sampled_from([d for d in range(1, read + 1) if read % d == 0]), label="p")
+    B = data.draw(st.integers(1, 20), label="B")
+    argv += [f"--block-length={p}", f"--replicates={B}",
+             data.draw(st.sampled_from(CSV_FLAGS[command]), label="flag")]
+    out = root / "out.json"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv + ["--out", str(out)])
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
+    else:
+        assert err.getvalue() == "" and not caught
+    assert out.exists() == (code == 0)
+
+
 class TestLiteralValues:
     """INI values are read literally: a ``%`` is an ordinary character."""
 
@@ -448,6 +514,51 @@ class TestLiteralValues:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {message}"]
         assert not out.exists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                       max_size=30))
+def test_degeneracy_probes_stay_in_range_without_warnings(values):
+    from blockboot.cli import _degeneracy_probes
+
+    x = np.array(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probes = _degeneracy_probes(x)
+    assert np.all((probes >= x.min()) & (probes <= x.max()))
+    with np.errstate(over="ignore"):
+        finite_range = np.isfinite(x.max() - x.min())
+    if finite_range:  # the expression the probes had before overflow was handled
+        assert np.array_equal(probes, np.unique(np.quantile(x, np.linspace(0.05, 0.95, 19))))
+
+
+def test_vstat_test_on_data_spanning_the_float_range_writes_no_warning(tmp_path, capsys):
+    data = tmp_path / "wide.csv"
+    data.write_text("1e308\n-1e308\n")
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("vstat-test", "--data", str(data), "--kernel", "cvm:normal",
+                       "--block-length", "1", "--replicates", "20", "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["degeneracy_diagnostic"] >= 0
+
+
+@pytest.mark.parametrize("command, text", [("generate", PROCESS_INI),
+                                           ("montecarlo", EXPERIMENT_INI)],
+                         ids=["generate", "montecarlo"])
+def test_default_section_exits_2_with_one_error_line(tmp_path, capsys, command, text):
+    # configparser would merge [DEFAULT] into every section, so phi = 0.9
+    # would silently reach [process].
+    config = tmp_path / "default.ini"
+    config.write_text("[DEFAULT]\nphi = 0.9\n\n" + text)
+    out = tmp_path / "out"
+    extra = ["--n", "20"] if command == "generate" else []
+    assert run_cli(command, "--config", str(config), *extra, "--out", str(out)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "DEFAULT" in err[0]
+    assert not out.exists()
 
 
 def test_unallocatable_input_exits_2_with_one_error_line(tmp_path, monkeypatch, process_file,

@@ -29,6 +29,7 @@ from blockboot import (
     two_sample_test,
 )
 import blockboot.bootstrap as bootstrap
+import blockboot.vmstat as vmstat
 from blockboot.bootstrap import (
     LongRunVarianceStatistic,
     MeanNormStatistic,
@@ -146,6 +147,24 @@ def test_vstat_evaluator_matches_assembled_samples(sp, B, seed, token):
     expected = [plan.kp * bootstrap_v_statistic(lead, star, kernel)
                 for star in assembled(s, plan, seed, B)]
     np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sp=sample_and_plan(1), tile_blocks=st.integers(1, 5), bandwidth=st.floats(0.1, 10.0))
+def test_half_mesh_walk_matches_full_mesh_sums(sp, tile_blocks, bandwidth):
+    # Tiles of ``tile_blocks`` blocks read only the upper half of the mesh;
+    # the block-pair sums and the total of the full mesh must still agree.
+    s, plan = sp
+    x = s.scalars()
+    kernel = kernel_from_token(f"gaussian:{bandwidth}")
+    with mock.patch.object(vmstat, "TILE_BYTES", 8 * plan.p * s.n * tile_blocks):
+        T, total = vmstat._mesh_sums(x, plan, kernel)
+    mesh = kernel.eval(x[:, None], x[None, :])
+    block_sums = mesh[: plan.kp, : plan.kp].reshape(plan.k, plan.p, plan.k, plan.p)
+    expected = [[math.fsum(block_sums[a, :, b].ravel()) for b in range(plan.k)]
+                for a in range(plan.k)]
+    np.testing.assert_allclose(T, expected, rtol=1e-12, atol=0)
+    assert total == pytest.approx(math.fsum(mesh.ravel()), rel=1e-12)
 
 
 PRODUCT_MESH = Kernel("product-mesh", eval=lambda x, y: x * y)

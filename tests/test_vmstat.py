@@ -244,14 +244,62 @@ class TestBootstrapVStatistic:
         x = rng.standard_normal(96)
         plan = BlockPlan(n=96, p=8)
         kern, meshes = counted(gaussian_kernel(1.0))
-        dense = vm._block_pair_sums(x, plan, kern)
+        dense = vm._mesh_sums(x, plan, kern)
         assert meshes == [(96, 96)]
         meshes.clear()
-        # Five blocks of 8 rows per tile: tiles of 40, 40 and 16 rows.
+        # Five blocks of 8 rows per tile, each against the columns from its
+        # own first block onward: tiles of 40, 40 and 16 rows.
         monkeypatch.setattr(vm, "TILE_BYTES", 8 * 96 * 8 * 5)
-        tiled = vm._block_pair_sums(x, plan, kern)
-        assert meshes == [(40, 96), (40, 96), (16, 96)]
-        assert tiled == pytest.approx(dense, rel=1e-12)
+        tiled = vm._mesh_sums(x, plan, kern)
+        assert meshes == [(40, 96), (40, 56), (16, 16)]
+        assert tiled[0] == pytest.approx(dense[0], rel=1e-12)
+        assert tiled[1] == pytest.approx(dense[1], rel=1e-12)
+
+    # (n, p): n a multiple of p, tails of 1..p-1, p = 1 and p = n.
+    @pytest.mark.parametrize("n, p", [(20, 5), (21, 5), (22, 5), (23, 5), (24, 5), (7, 1),
+                                      (9, 9), (17, 9)])
+    @pytest.mark.parametrize("tile_blocks", [None, 1, 3], ids=["one-tile", "block-tiles",
+                                                               "ragged-tiles"])
+    def test_mesh_sums_match_fsum_reference(self, monkeypatch, n, p, tile_blocks):
+        import blockboot.vmstat as vm
+
+        x = derive_stream(69, n, p).standard_normal(n)
+        plan = BlockPlan(n=n, p=p)
+        kern = gaussian_kernel(0.9)
+        if tile_blocks is not None:
+            monkeypatch.setattr(vm, "TILE_BYTES", 8 * p * n * tile_blocks)
+        T, total = vm._mesh_sums(x, plan, kern)
+        mesh = kern.eval(x[:, None], x[None, :])
+        blocks = [range(a * p, (a + 1) * p) for a in range(plan.k)]
+        expected = [[math.fsum(mesh[i, j] for i in rows for j in cols) for cols in blocks]
+                    for rows in blocks]
+        np.testing.assert_allclose(T, expected, rtol=1e-12, atol=0)
+        assert total == pytest.approx(math.fsum(mesh.ravel()), rel=1e-12)
+
+    @pytest.mark.parametrize("token", ["product", "cvm:normal", "cvm:uniform:-3,3"])
+    def test_vstat_statistics_of_declared_kernels_are_unchanged(self, token):
+        from blockboot.vmstat import vstat_statistics
+
+        s = scalar_sample(derive_stream(70).standard_normal(101))
+        plan = BlockPlan(n=101, p=6)
+        kern = kernel_from_token(token)
+        counts = counts_from_indices(derive_stream(71).integers(0, plan.k, (9, plan.k)), plan.k)
+        observed, evaluate = vstat_statistics(s, plan, kern)
+        assert observed == s.n * v_statistic(s, kern)
+        assert np.array_equal(evaluate(counts), vstat_bootstrap_evaluator(s, plan, kern)(counts))
+
+    def test_vstat_test_walks_half_the_mesh(self, monkeypatch):
+        import blockboot.vmstat as vm
+
+        n, p = 200, 7
+        s = scalar_sample(derive_stream(72).standard_normal(n))
+        kern, meshes = counted(gaussian_kernel(1.0))
+        # Three blocks per tile: 10 row tiles over the 28 blocks, plus the 4-point tail.
+        monkeypatch.setattr(vm, "TILE_BYTES", 8 * p * n * 3)
+        vstat_test(s, kern, BlockPlan(n=n, p=p), B=5, seed=1, level=0.1)
+        assert len(meshes) >= 8
+        # Separate observed and block-pair meshes took n^2 + (kp)^2 cells.
+        assert sum(math.prod(shape) for shape in meshes) <= 0.6 * n * n
 
     def test_gaussian_vstat_test_memory_is_bounded(self):
         import tracemalloc
