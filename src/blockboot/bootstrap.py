@@ -16,7 +16,8 @@ with :func:`counts_from_indices` and hands the counts to an evaluator, so the
 only array that grows with ``B`` is the replicate output.  Evaluators map
 each row on its own, so the values do not depend on the batch size.
 Callable statistics are called once per replicate on the assembled sample,
-outside the batches.
+outside the batches, with rows from the same per-replicate streams
+(:func:`stream_draws`).
 
 Every bootstrap test decides through :func:`bootstrap_test`, which feeds the
 replicates to :func:`decide`: the critical value is the lower empirical
@@ -40,35 +41,33 @@ from .exceptions import (
     ReplicateMemoryError,
     UnsupportedStatisticError,
 )
-from .hilbert import GridFunction, HilbertSample
+from .hilbert import GridFunction, HilbertSample, same_space
 from .rng import derive_stream, replicate_streams
 
-#: Relative slack used to snap floating-point powers/products to a nearby
-#: integer before flooring, so that e.g. 1000**(1/3) floors to 10 and not 9.
-_SNAP = 1e-9
+#: Relative slack within which a floating-point power or product counts as
+#: the integer nearest to it: 1000**(1/3) floors to 10 and not 9, while
+#: 167402**0.75 = 8275.9999953 still floors to 8275.
+_SNAP = 1e-12
 
 #: Bytes of int64 block indices drawn in one batch of replicates.  A batch
 #: and its counts stay in cache, and only the replicate output grows with B.
 BATCH_BYTES = 2**19
 
 
-def _snap_floor(x: float) -> int:
+def _snapped(x: float, rounding) -> int:
+    """``rounding(x)`` as an int, or the nearest integer within ``_SNAP`` (relative) of ``x``."""
     nearest = round(x)
     if abs(x - nearest) <= _SNAP * max(1.0, abs(nearest)):
         return int(nearest)
-    return int(math.floor(x))
-
-
-def _snap_ceil(x: float) -> int:
-    nearest = round(x)
-    if abs(x - nearest) <= _SNAP * max(1.0, abs(nearest)):
-        return int(nearest)
-    return int(math.ceil(x))
+    return int(rounding(x))
 
 
 @dataclass(frozen=True)
 class BlockPlan:
-    """Partition of ``1..n`` into ``k`` leading blocks of length ``p``."""
+    """Partition of ``1..n`` into ``k`` leading blocks of length ``p``.
+
+    Block ``i`` (0-based) holds the 0-based rows ``range(i*p, (i+1)*p)``.
+    """
 
     n: int
     p: int
@@ -90,16 +89,6 @@ class BlockPlan:
     def discarded(self) -> int:
         """Number of trailing observations ignored by bootstrap quantities."""
         return self.n - self.kp
-
-    def block(self, i: int) -> range:
-        """0-based index range of block ``i`` (0-based)."""
-        if not 0 <= i < self.k:
-            raise IndexError(f"block index {i} out of range 0..{self.k - 1}")
-        return range(i * self.p, (i + 1) * self.p)
-
-    @property
-    def blocks(self) -> list[range]:
-        return [self.block(i) for i in range(self.k)]
 
     def require_sample(self, s: HilbertSample) -> None:
         if s.n != self.n:
@@ -137,7 +126,7 @@ def block_length_schedule(n: int, exponent: float = 1.0 / 3.0,
         m = 1 << max(0, (n - 1).bit_length())
     else:
         m = n
-    p = max(1, _snap_floor(m ** exponent))
+    p = max(1, _snapped(m ** exponent, math.floor))
     return BlockPlan(n=n, p=min(p, n), dyadic_freeze=dyadic_freeze)
 
 
@@ -168,7 +157,7 @@ def bootstrap_mean_statistic(s: HilbertSample, star: HilbertSample,
     plan.require_sample(s)
     if star.n != plan.kp:
         raise PlanMismatchError(f"bootstrap sample must have length kp={plan.kp}, got {star.n}")
-    if not s.same_space(star.element(0)):
+    if not same_space(s, star):
         raise PlanMismatchError("bootstrap sample lives on a different grid or weights")
     diff = star.values.mean(axis=0) - s.values[: plan.kp].mean(axis=0)
     return GridFunction(s.grid, math.sqrt(plan.kp) * diff, s.weights)
@@ -398,10 +387,11 @@ def _callable_replicates(s: HilbertSample, plan: BlockPlan, B: int, statistic, s
     """``statistic(s, star, plan)`` on the sample assembled from each replicate's draw."""
     if B < 1:
         raise EmptyInputError("need B >= 1 bootstrap replicates")
+    _, draw = stream_draws(plan, B, seed)
     out = None
-    for r, rng in replicate_streams(seed, B):
+    for r in range(B):
         try:
-            value = statistic(s, _resample(s, plan, _draw_block_indices(plan, rng)), plan)
+            value = statistic(s, _resample(s, plan, draw(1)[0]), plan)
         except Exception as exc:
             exc.args = (f"replicate {r}: {exc}",)
             raise
@@ -439,7 +429,7 @@ def empirical_quantile(values: np.ndarray, q: float) -> float:
     if not np.all(np.isfinite(values)):
         bad = int(np.count_nonzero(~np.isfinite(values)))
         raise NonFiniteStatisticError(f"{bad} of {B} bootstrap replicates are not finite")
-    m = max(1, _snap_ceil(B * q))
+    m = max(1, _snapped(B * q, math.ceil))
     return float(np.partition(values, m - 1)[m - 1])
 
 
@@ -468,7 +458,7 @@ def decide(observed: float, replicates: np.ndarray, level: float) -> dict:
     # ``1 - level`` rounds to 1 for levels below ~1e-16, so the rank comes
     # from ``B - B*level``; the midpoint level (m - 1/2)/B lies in (0, 1) and
     # selects exactly the m-th order statistic.
-    m = max(1, _snap_ceil(B - B * level))
+    m = max(1, _snapped(B - B * level, math.ceil))
     critical = empirical_quantile(replicates, (m - 0.5) / B)
     exceed = int(np.count_nonzero(replicates >= observed))
     return {
@@ -554,7 +544,7 @@ def two_sample_test(x: HilbertSample, y: HilbertSample, plan_x: BlockPlan,
     """
     plan_x.require_sample(x)
     plan_y.require_sample(y)
-    if not x.same_space(y.element(0)):
+    if not same_space(x, y):
         raise PlanMismatchError("samples live on different spaces")
     observed, evaluate = two_sample_statistics(x, y, plan_x, plan_y)
     return bootstrap_test(observed, evaluate, level, B, stream_draws(plan_x, B, seed),

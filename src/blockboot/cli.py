@@ -4,9 +4,11 @@ Subcommands: ``generate``, ``bootstrap``, ``cvm-test``, ``vstat-test``,
 ``two-sample``, ``montecarlo``.  Reports are JSON with a fixed key order and
 no timestamps, so a fixed seed yields byte-identical output across runs and
 thread counts.  Exit codes: 0 success, 2 configuration error (or a
-non-finite statistic, or an input too large to allocate, such as more
-``--replicates`` than fit in memory), 3 failure-policy breach in a Monte Carlo
-run, 4 the ``--workers`` process pool failed.
+non-finite statistic or report value, or an input too large to allocate,
+such as more ``--replicates`` than fit in memory), 3 failure-policy breach in
+a Monte Carlo run, 4 the ``--workers`` process pool failed.  A report never
+holds ``NaN`` or ``Infinity``, and overflow in finite data near the float
+range ends in exit 2, or in a finite report, without numpy warnings.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ _QUANTILES = (0.5, 0.9, 0.95, 0.99)
 
 
 def _write_json(path: str, payload: dict) -> None:
+    text = json.dumps(payload, indent=2, allow_nan=False)  # ValueError on nan or inf
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+        fh.write(text + "\n")
 
 
 def _plan_from_args(n: int, args) -> BlockPlan:
@@ -290,7 +293,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Overflow reaches the non-finite checks (exit 2), not numpy's warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (BlockbootError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,32 +6,39 @@ by the Monte Carlo harness are simple.  Generation is deterministic given
 the configuration: the exact sequence of draws per kind is documented below
 and frozen.
 
-Draw order per kind (one derived stream per sample):
+Draw order and dependence per kind (one derived stream per sample).  The
+dependence clauses give each kind's near-epoch dependence (how fast a window
+of the last ``m`` driving draws approximates the state) and the mixing of its
+driving noise; they are qualitative claims about the model class, not
+estimated quantities.
 
 * ``iid``: the ``n`` innovations, in time order.  Burn-in is skipped; the
-  process is exactly stationary.
+  process is exactly stationary.  Any window reproduces the state exactly,
+  and the driving noise has no memory at positive lags.
 * ``linear-real``: the ``n + q - 1`` innovations feeding the length-``q``
-  filter, in time order.  Burn-in is skipped for the same reason.
+  filter, in time order.  Burn-in is skipped for the same reason.  Windows
+  of at least ``q`` draws are exact, and the process is independent beyond
+  lag ``q - 1``.
 * ``ar1-real``: one standard normal for the stationary initial state when
   innovations are gaussian (scaled to the stationary marginal), then the
   ``burn_in + n`` innovations in time order.  Non-gaussian recursions start
-  at zero and rely on burn-in.
+  at zero and rely on burn-in.  A window of ``m`` innovations approximates
+  the state up to ``O(|phi|^m)`` in absolute mean, and the iid noise is
+  mixing: exponential memory decay.
 * ``ar1-functional``: one row of ``basis_size`` coefficient draws for the
   initial state (gaussian innovations only), then ``burn_in + n`` coefficient
   rows.  Noise functions are random combinations of a smooth Fourier basis
-  with geometrically decaying amplitudes.
+  with geometrically decaying amplitudes.  The window approximation is the
+  scalar ``O(|phi|^m)``, uniformly over the grid.
 * ``doubling-map-functional``: ``burn_in + n + 52`` random bits.  The orbit
   value ``u_i`` reads the 53 bits starting at offset ``i``, which realizes
   the angle-doubling recursion ``u_{i+1} = 2 u_i mod 1`` exactly in
   distribution while avoiding the finite-precision collapse of iterating the
   map on doubles.  The observation is the smooth link
   ``X_i(t) = cos(2 pi u_i + pi s(t))`` with ``s`` the grid rescaled to
-  [0, 1], which has mean zero because ``u_i`` is exactly uniform.
-
-The per-kind dependence behaviour (how fast finite windows of the driving
-noise approximate the state, and the mixing of the driver itself) is
-recorded as documentation in :data:`DEPENDENCE_NOTES`; these are qualitative
-claims about the model class, not estimated quantities.
+  [0, 1], which has mean zero because ``u_i`` is exactly uniform.  A window
+  of ``m`` bits fixes ``u_i`` up to ``2**-m``, so ``X_i`` up to ``O(2**-m)``
+  in norm, and the iid bit stream is mixing at all lags.
 """
 
 from __future__ import annotations
@@ -49,34 +56,6 @@ from .rng import derive_stream
 REAL_KINDS = ("iid", "ar1-real", "linear-real")
 FUNCTIONAL_KINDS = ("ar1-functional", "doubling-map-functional")
 INNOVATIONS = ("gaussian", "uniform", "student-t")
-
-DEPENDENCE_NOTES = {
-    "iid": (
-        "Independent draws: finite windows of the driving noise reproduce the "
-        "state exactly, and the driver has no memory at positive lags."
-    ),
-    "ar1-real": (
-        "Autoregression of order one: a window of m past innovations "
-        "approximates the state up to O(|phi|^m) in absolute mean, and the "
-        "iid driver is trivially mixing.  Exponential memory decay."
-    ),
-    "linear-real": (
-        "Finite moving average: windows at least as long as the coefficient "
-        "list are exact, and the process is independent beyond that lag."
-    ),
-    "ar1-functional": (
-        "Pointwise autoregression of order one driven by iid smooth noise "
-        "functions: same exponential O(|phi|^m) window approximation as the "
-        "scalar case, uniformly over the grid."
-    ),
-    "doubling-map-functional": (
-        "Angle-doubling (expanding) dynamics read off an iid bit stream: the "
-        "state at time i is a function of the bits from offset i onward, a "
-        "window of m bits determines it up to 2**-m, and the smooth link maps "
-        "that to an O(2**-m) error in norm.  The driver is an iid sequence, "
-        "hence mixing at all lags."
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -142,10 +121,6 @@ class ProcessConfig:
     def is_functional(self) -> bool:
         return self.kind in FUNCTIONAL_KINDS
 
-    @property
-    def dependence_notes(self) -> str:
-        return DEPENDENCE_NOTES[self.kind]
-
 
 def _innovations(cfg: ProcessConfig, rng: np.random.Generator, shape) -> np.ndarray:
     if cfg.innovation == "gaussian":
@@ -191,12 +166,16 @@ def generate_real(cfg: ProcessConfig, n: int, rng: np.random.Generator | None = 
     return HilbertSample.from_scalars(x)
 
 
+def _unit_grid(grid: np.ndarray) -> np.ndarray:
+    """``grid`` mapped affinely onto [0, 1]; a one-point grid maps to 0."""
+    if grid.size > 1:
+        return (grid - grid[0]) / (grid[-1] - grid[0])
+    return np.zeros(1)
+
+
 def _noise_basis(cfg: ProcessConfig, grid: np.ndarray) -> np.ndarray:
     """Smooth basis rows scaled by geometrically decaying amplitudes."""
-    if grid.size > 1:
-        u = (grid - grid[0]) / (grid[-1] - grid[0])
-    else:
-        u = np.zeros(1)
+    u = _unit_grid(grid)
     # Row 0 is constant; rows 2j - 1 and 2j are the cosine and sine of frequency j.
     size = cfg.basis_size
     angles = (2.0 * math.pi * np.arange(1, size // 2 + 1))[:, None] * u
@@ -253,9 +232,5 @@ def generate_functional(cfg: ProcessConfig, n: int, grid, w=None,
         values = _ar1_filter(cfg.phi, noise, x0)[cfg.burn_in :]
     else:
         u = _doubling_orbit(rng, n, cfg.burn_in)
-        if grid.size > 1:
-            s = (grid - grid[0]) / (grid[-1] - grid[0])
-        else:
-            s = np.zeros(1)
-        values = np.cos(2.0 * math.pi * u[:, None] + math.pi * s[None, :])
+        values = np.cos(2.0 * math.pi * u[:, None] + math.pi * _unit_grid(grid)[None, :])
     return HilbertSample(grid, weights, values)

@@ -197,33 +197,13 @@ def ks_sample_vs_cdf(x, cdf) -> float:
     return float(max(d_plus, d_minus, 0.0))
 
 
-def ks_sample_vs_discrete(x, support, probs, tol: float = 1e-9) -> float:
-    """Kolmogorov distance between an empirical law and a discrete law.
-
-    Sample values within ``tol`` (absolute) of an atom are counted as sitting
-    on it, which makes the distance robust to rounding differences between
-    two routes to the same discrete statistic.
-    """
-    x = np.sort(np.asarray(x, dtype=np.float64))
-    support = np.asarray(support, dtype=np.float64)
-    probs = np.asarray(probs, dtype=np.float64)
-    order = np.argsort(support, kind="stable")
-    support, probs = support[order], probs[order]
-    cum = np.cumsum(probs)
-    f_right = np.searchsorted(x, support + tol, side="right") / x.size
-    f_left = np.searchsorted(x, support - tol, side="left") / x.size
-    d_at = np.max(np.abs(f_right - cum))
-    d_before = np.max(np.abs(f_left - (cum - probs)))
-    return float(max(d_at, d_before))
-
-
 # ---------------------------------------------------------------------------
 # Shared replication plumbing
 
 
 def experiment_plan(cfg: ExperimentConfig) -> BlockPlan:
     if cfg.block_length is not None:
-        return BlockPlan(n=cfg.n, p=cfg.block_length, dyadic_freeze=False)
+        return BlockPlan(n=cfg.n, p=cfg.block_length)
     return block_length_schedule(cfg.n, cfg.exponent, cfg.dyadic_freeze)
 
 
@@ -335,6 +315,19 @@ def _vstat_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
 # Reports
 
 
+def _csv_cell(value) -> str:
+    """One CSV cell: empty, ``true``/``false``, an integer, a float repr, or one-line text."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return value.replace(",", ";").replace("\n", " ")
+    return repr(float(value))
+
+
 @dataclass
 class ExperimentReport:
     """Per-replication records plus aggregates and full provenance."""
@@ -367,20 +360,7 @@ class ExperimentReport:
                    "p_value", "ci_low", "ci_high", "failed", "error")
         lines = [",".join(columns)]
         for rec in self.records:
-            row = []
-            for col in columns:
-                value = getattr(rec, col)
-                if value is None:
-                    row.append("")
-                elif isinstance(value, bool):
-                    row.append("true" if value else "false")
-                elif isinstance(value, float):
-                    row.append(repr(value))
-                elif col == "error":
-                    row.append(str(value).replace(",", ";").replace("\n", " "))
-                else:
-                    row.append(str(value))
-            lines.append(",".join(row))
+            lines.append(",".join(_csv_cell(getattr(rec, col)) for col in columns))
         return "\n".join(lines) + "\n"
 
     def summary_csv(self) -> str:
@@ -389,16 +369,7 @@ class ExperimentReport:
             if metric.endswith("_se") or value is None:
                 continue
             se = self.aggregates.get(metric + "_se")
-            se_txt = repr(float(se)) if se is not None else ""
-            if isinstance(value, bool):
-                txt = "true" if value else "false"
-            elif isinstance(value, (int, np.integer)):
-                txt = str(int(value))
-            elif isinstance(value, str):
-                txt = value
-            else:
-                txt = repr(float(value))
-            lines.append(f"{metric},{txt},{se_txt}")
+            lines.append(f"{metric},{_csv_cell(value)},{_csv_cell(se)}")
         return "\n".join(lines) + "\n"
 
     def write(self, out_dir: str) -> None:
@@ -466,7 +437,23 @@ def _safe_replicate(cfg: ExperimentConfig, plan: BlockPlan, r: int):
         return record, None
 
 
-def _run(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+    """Run the Monte Carlo experiment of the configured statistic family.
+
+    ``mean-norm`` reports the coverage of the bootstrap confidence ball for
+    the mean; ``two-sample-mean`` the size (or power, under a mean shift) of
+    the two-sample mean test; ``cvm`` the size of the goodness-of-fit test;
+    ``vstat:<kernel>`` the agreement of a degenerate V-statistic's law with
+    its bootstrap.  An unresolvable ``cvm`` null fails before any
+    replication runs.
+
+    ``workers > 1`` runs replications on a pool of at most ``workers``
+    processes, and no more than there are replications or CPUs; because
+    replication ``r`` depends only on streams derived from
+    ``(master_seed, r)``, the report is byte-identical for any worker count.
+    """
+    if cfg.family == "cvm":
+        resolve_null(cfg)  # fail fast on unresolvable nulls
     plan = experiment_plan(cfg)
     workers = min(workers, cfg.replications, os.cpu_count() or 1)
     if workers > 1:
@@ -506,23 +493,3 @@ def _run(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
         aggregates=aggregates,
         flags=flags,
     )
-
-
-def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
-    """Run the Monte Carlo experiment of the configured statistic family.
-
-    ``mean-norm`` reports the coverage of the bootstrap confidence ball for
-    the mean; ``two-sample-mean`` the size (or power, under a mean shift) of
-    the two-sample mean test; ``cvm`` the size of the goodness-of-fit test;
-    ``vstat:<kernel>`` the agreement of a degenerate V-statistic's law with
-    its bootstrap.  An unresolvable ``cvm`` null fails before any
-    replication runs.
-
-    ``workers > 1`` runs replications on a pool of at most ``workers``
-    processes, and no more than there are replications or CPUs; because
-    replication ``r`` depends only on streams derived from
-    ``(master_seed, r)``, the report is byte-identical for any worker count.
-    """
-    if cfg.family == "cvm":
-        resolve_null(cfg)  # fail fast on unresolvable nulls
-    return _run(cfg, workers)

@@ -7,7 +7,8 @@ the inner product is a plain weighted dot product and every quadrature choice
 lives in :func:`trapezoid_weights`.
 
 Scalars are the ``d = 1`` special case with unit weight; real-valued samples
-share all code paths with functional ones.
+share all code paths with functional ones.  Grid functions and samples live
+in the same space when :func:`same_space` holds: equal grids and weights.
 
 All types are immutable after construction and every operation is a pure
 function.  Reductions use numpy's pairwise summation over the grid index in a
@@ -120,25 +121,9 @@ class GridFunction:
         object.__setattr__(self, "values", _frozen(values))
         object.__setattr__(self, "weights", _frozen(weights))
 
-    @classmethod
-    def scalar(cls, x: float) -> "GridFunction":
-        """The real number ``x`` as a d=1 element with unit weight."""
-        return cls(np.array([0.0]), np.array([float(x)]), np.array([1.0]))
-
     @property
     def d(self) -> int:
         return self.grid.size
-
-    def same_space(self, other: "GridFunction") -> bool:
-        return (
-            self.grid.shape == other.grid.shape
-            and np.array_equal(self.grid, other.grid)
-            and np.array_equal(self.weights, other.weights)
-        )
-
-    def _require_space(self, other: "GridFunction") -> None:
-        if not self.same_space(other):
-            raise DomainMismatchError("operands live on different grids or weights")
 
 
 @dataclass(frozen=True)
@@ -191,9 +176,6 @@ class HilbertSample:
     def __len__(self) -> int:
         return self.n
 
-    def element(self, i: int) -> GridFunction:
-        return GridFunction(self.grid, self.values[i], self.weights)
-
     def scalars(self) -> np.ndarray:
         """The observations as a 1-D array; only valid for d=1 samples."""
         if self.d != 1:
@@ -206,12 +188,10 @@ class HilbertSample:
             raise IndexError(f"cannot restrict a length-{self.n} sample to {m}")
         return HilbertSample(self.grid, self.weights, self.values[:m])
 
-    def same_space(self, f) -> bool:
-        return (
-            self.grid.shape == np.shape(f.grid)
-            and np.array_equal(self.grid, f.grid)
-            and np.array_equal(self.weights, f.weights)
-        )
+
+def same_space(a, b) -> bool:
+    """Whether two grid functions or samples share their grid and weights."""
+    return np.array_equal(a.grid, b.grid) and np.array_equal(a.weights, b.weights)
 
 
 def inner_product(f: GridFunction, g: GridFunction) -> float:
@@ -220,7 +200,8 @@ def inner_product(f: GridFunction, g: GridFunction) -> float:
     Symmetric and bilinear; raises :class:`DomainMismatchError` when the
     operands do not share grid and weights.
     """
-    f._require_space(g)
+    if not same_space(f, g):
+        raise DomainMismatchError("operands live on different grids or weights")
     return float(np.sum(f.values * g.values * f.weights))
 
 
@@ -231,7 +212,5 @@ def norm(f: GridFunction) -> float:
 
 def sample_mean(s: HilbertSample) -> GridFunction:
     """Pointwise average of the observations."""
-    if s.n < 1:  # unreachable through the constructor, kept for clarity
-        raise EmptyInputError("cannot average an empty sample")
     return GridFunction(s.grid, s.values.mean(axis=0), s.weights)
 

@@ -33,6 +33,7 @@ from .exceptions import (
     ConfigError,
     CvmSpecError,
     InsufficientSampleError,
+    NonFiniteStatisticError,
     PlanMismatchError,
 )
 from .hilbert import HilbertSample, trapezoid_weights
@@ -317,7 +318,8 @@ def degeneracy_diagnostic(s: HilbertSample, h: Kernel, probes) -> float:
     """Largest absolute value of ``mean_i h(x, X_i)`` over the probe points.
 
     Small values are consistent with a degenerate kernel for this sample's
-    distribution.  Advisory only; there is no pass/fail threshold.
+    distribution.  Advisory only; there is no pass/fail threshold.  Raises
+    :class:`NonFiniteStatisticError` when the kernel overflows on the data.
     """
     x = s.scalars()
     probes = np.asarray(probes, dtype=np.float64)
@@ -327,7 +329,10 @@ def degeneracy_diagnostic(s: HilbertSample, h: Kernel, probes) -> float:
     totals = np.zeros(probes.size)
     for j in range(0, x.size, cols):
         totals = totals + h.eval(probes[:, None], x[None, j : j + cols]).sum(axis=1)
-    return float(np.max(np.abs(totals / x.size)))
+    diagnostic = float(np.max(np.abs(totals / x.size)))
+    if not np.isfinite(diagnostic):
+        raise NonFiniteStatisticError(f"degeneracy diagnostic is {diagnostic}")
+    return diagnostic
 
 
 def _mesh_sums(x: np.ndarray, plan: BlockPlan, h: Kernel) -> tuple[np.ndarray, float]:

@@ -83,3 +83,23 @@ def discrete_law(values, tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
             counts.append(1)
     probs = np.asarray(counts, dtype=np.float64) / values.size
     return np.asarray(support), probs
+
+
+def ks_sample_vs_discrete(x, support, probs, tol: float = 1e-9) -> float:
+    """Kolmogorov distance between an empirical law and a discrete law.
+
+    Sample values within ``tol`` (absolute) of an atom are counted as sitting
+    on it, which makes the distance robust to rounding differences between
+    two routes to the same discrete statistic.
+    """
+    x = np.sort(np.asarray(x, dtype=np.float64))
+    support = np.asarray(support, dtype=np.float64)
+    probs = np.asarray(probs, dtype=np.float64)
+    order = np.argsort(support, kind="stable")
+    support, probs = support[order], probs[order]
+    cum = np.cumsum(probs)
+    f_right = np.searchsorted(x, support + tol, side="right") / x.size
+    f_left = np.searchsorted(x, support - tol, side="left") / x.size
+    d_at = np.max(np.abs(f_right - cum))
+    d_before = np.max(np.abs(f_left - (cum - probs)))
+    return float(max(d_at, d_before))

@@ -34,11 +34,7 @@ from blockboot import (
 )
 from blockboot.bootstrap import MeanStatistic
 from blockboot.generators import ProcessConfig
-from blockboot.harness import (
-    ExperimentConfig,
-    ks_sample_vs_discrete,
-    run_experiment,
-)
+from blockboot.harness import ExperimentConfig, run_experiment
 from blockboot.rng import derive_stream
 from blockboot.vmstat import kernel_from_token
 from child_env import child_env
@@ -47,6 +43,7 @@ from oracles import (
     ar1_long_run_variance,
     discrete_law,
     exact_centered_mean_law,
+    ks_sample_vs_discrete,
 )
 
 

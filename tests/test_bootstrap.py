@@ -41,8 +41,10 @@ from blockboot.vmstat import product_kernel, vstat_test
 from oracles import (
     all_block_selections,
     ar1_long_run_variance,
+    discrete_law,
     exact_bootstrap_mean_law,
     exact_centered_mean_law,
+    ks_sample_vs_discrete,
 )
 
 
@@ -75,8 +77,8 @@ class TestBlockLengthSchedule:
     def test_blocks_partition_leading_range(self):
         plan = block_length_schedule(103, exponent=0.4)
         covered = []
-        for block in plan.blocks:
-            covered.extend(block)
+        for i in range(plan.k):
+            covered.extend(range(i * plan.p, (i + 1) * plan.p))
         assert covered == list(range(plan.kp))
         assert plan.kp <= plan.n
 
@@ -102,7 +104,7 @@ class TestDrawBootstrapSample:
         rng = derive_stream(2)
         s = scalar_sample(rng.standard_normal(20))
         plan = BlockPlan(n=20, p=4)
-        original_blocks = {s.values[b.start : b.stop].tobytes() for b in plan.blocks}
+        original_blocks = {s.values[i * 4 : (i + 1) * 4].tobytes() for i in range(plan.k)}
         star = draw_bootstrap_sample(s, plan, derive_stream(3))
         for i in range(plan.k):
             assert star.values[i * 4 : (i + 1) * 4].tobytes() in original_blocks
@@ -216,9 +218,6 @@ class TestBootstrapDistribution:
 
     def test_law_matches_enumeration(self):
         # oracle: the 27-point exact law; Kolmogorov distance must be small
-        from oracles import discrete_law
-        from blockboot.harness import ks_sample_vs_discrete
-
         data = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         s = scalar_sample(data)
         plan = BlockPlan(n=6, p=2)
@@ -228,14 +227,30 @@ class TestBootstrapDistribution:
         d = ks_sample_vs_discrete(dist.replicates[:, 0], support, probs)
         assert d < 0.02
 
-    def test_replicates_independent_of_evaluation_order(self):
+    @staticmethod
+    def assert_replicates_recomputable(statistic):
         rng = derive_stream(7)
         s = scalar_sample(rng.standard_normal(30))
         plan = BlockPlan(n=30, p=5)
-        stat = MeanNormStatistic()
-        dist = bootstrap_distribution(s, plan, 64, stat, seed=42)
+        dist = bootstrap_distribution(s, plan, 64, statistic, seed=42)
         for r in (0, 13, 63):
-            assert dist.replicates[r] == bootstrap_replicate(s, plan, stat, 42, r)
+            value = bootstrap_replicate(s, plan, statistic, 42, r)
+            if isinstance(value, GridFunction):
+                value = value.values
+            assert np.array_equal(dist.replicates[r], value)
+
+    def test_replicates_independent_of_evaluation_order(self):
+        self.assert_replicates_recomputable(MeanNormStatistic())
+
+    @pytest.mark.parametrize("statistic", [
+        MeanStatistic(),
+        LongRunVarianceStatistic(),
+        lambda s, star, plan: float(np.sum(star.values[:, 0] * np.arange(star.n))),
+        bootstrap_mean_statistic,
+    ], ids=["mean", "lrv", "float-callable", "grid-callable"])
+    def test_every_statistic_kind_recomputes_single_replicates(self, statistic):
+        # The float callable depends on the order of the drawn blocks.
+        self.assert_replicates_recomputable(statistic)
 
     def test_statistic_errors_carry_replicate_index(self):
         s = scalar_sample(np.arange(6.0))

@@ -488,11 +488,65 @@ def test_fuzzed_csv_inputs_exit_0_2_3_or_4_with_one_error_line(tmp_path_factory,
         code = main(argv + ["--out", str(out)])
     event(f"exit {code}")
     assert code in (0, 2, 3, 4)
+    assert not caught
     if code:
-        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
     else:
-        assert err.getvalue() == "" and not caught
+        assert err.getvalue() == ""
+        strict_json(out.read_text())
     assert out.exists() == (code == 0)
+
+
+def strict_json(text: str):
+    """``json.loads`` that rejects the ``NaN`` and ``Infinity`` extensions."""
+    def reject(constant):
+        raise ValueError(f"non-finite JSON value {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+# Finite data whose block means overflow ("blocks"), whose products with the
+# degeneracy probes do ("alternating"), or whose finite replicates overflow
+# the report's mean ("mean"); each command's expected exit.
+WIDE_CSV = {
+    "blocks": "1e308\n1e308\n-1e308\n-1e308\n1\n2\n",
+    "alternating": "1e308\n-1e308\n1e308\n-1e308\n1\n2\n",
+    "mean": "0.45e154\n0.45e154\n-0.45e154\n-0.45e154\n",
+}
+
+
+@pytest.mark.parametrize("data, command, flag, expected", [
+    ("blocks", "bootstrap", "--statistic=mean-norm", 2),
+    ("blocks", "bootstrap", "--statistic=lrv", 2),
+    ("blocks", "two-sample", "--level=0.05", 2),
+    ("blocks", "vstat-test", "--kernel=product", 2),
+    ("blocks", "vstat-test", "--kernel=gaussian:1", 0),
+    ("blocks", "cvm-test", "--dist=normal", 0),
+    ("alternating", "bootstrap", "--statistic=mean-norm", 0),
+    ("alternating", "bootstrap", "--statistic=lrv", 0),
+    ("alternating", "two-sample", "--level=0.05", 0),
+    ("alternating", "vstat-test", "--kernel=product", 2),
+    ("alternating", "vstat-test", "--kernel=cvm:normal", 0),
+    ("mean", "bootstrap", "--statistic=lrv", 2),
+])
+def test_data_near_the_float_range_exit_without_warnings(tmp_path, capsys, data, command, flag,
+                                                          expected):
+    path = tmp_path / "wide.csv"
+    path.write_text(WIDE_CSV[data])
+    out = tmp_path / "out.json"
+    inputs = ["--data-x", str(path), "--data-y", str(path)] if command == "two-sample" \
+        else ["--data", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(command, *inputs, flag, "--block-length", "2", "--replicates", "20",
+                       "--out", str(out))
+    err = capsys.readouterr().err.splitlines()
+    assert code == expected
+    if code:
+        assert len(err) == 1 and err[0].startswith("error:") and not out.exists()
+    else:
+        assert err == [] and strict_json(out.read_text())["command"] == command
 
 
 class TestLiteralValues:

@@ -32,12 +32,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             generate_functional(ProcessConfig(kind="iid"), 10, GRID)
 
-    def test_dependence_notes_exist_for_every_kind(self):
-        for kind in ("iid", "ar1-real", "linear-real", "ar1-functional",
-                     "doubling-map-functional"):
-            cfg = ProcessConfig(kind=kind)
-            assert len(cfg.dependence_notes) > 20
-
 
 class TestRealGenerators:
     def test_determinism(self):

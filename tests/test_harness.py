@@ -12,12 +12,12 @@ from blockboot.harness import (
     ReplicationRecord,
     aggregates_from_records,
     ks_sample_vs_cdf,
-    ks_sample_vs_discrete,
     ks_two_sample,
     resolve_null,
     run_experiment,
 )
 from blockboot.rng import derive_stream
+from oracles import ks_sample_vs_discrete
 
 
 def mean_config(**overrides):

@@ -1,4 +1,4 @@
-"""Property tests of the stream, block-count and decision invariants.
+"""Property tests of the stream, schedule, block-count and decision invariants.
 
 Every count-matrix evaluator is checked against the statistic of the
 explicitly assembled bootstrap sample: the same stream draws the same
@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockboot import (
@@ -21,6 +21,7 @@ from blockboot import (
     bootstrap_distribution,
     bootstrap_mean_statistic,
     bootstrap_v_statistic,
+    block_length_schedule,
     draw_bootstrap_sample,
     long_run_variance_estimate,
     make_cvm_spec,
@@ -34,7 +35,6 @@ from blockboot.bootstrap import (
     LongRunVarianceStatistic,
     MeanNormStatistic,
     MeanStatistic,
-    _snap_ceil,
     block_counts_per_replicate,
     counts_from_indices,
     decide,
@@ -250,13 +250,48 @@ def test_max_profile_matches_kernel_meshes(case, B, seed, shape):
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-10 * scale)
 
 
+def exact_root(m: int, a: int, b: int) -> int:
+    """The largest integer ``q`` with ``q**b <= m**a``, in integer arithmetic."""
+    target = m**a
+    q = int(round(m ** (a / b)))
+    while q**b > target:
+        q -= 1
+    while (q + 1) ** b <= target:
+        q += 1
+    return q
+
+
+@st.composite
+def schedule_lengths(draw):
+    """Sample lengths, half of them a ``b``-th power ``r**b`` or one off it."""
+    b = draw(st.integers(2, 10))
+    a = draw(st.integers(1, b - 1))
+    if draw(st.booleans()):
+        return draw(st.integers(1, 10**6)), a, b
+    r = draw(st.integers(2, math.floor(10 ** (10 / b))))
+    return max(1, r**b + draw(st.sampled_from([-1, 0, 1]))), a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=schedule_lengths(), freeze=st.booleans())
+@example(case=(167402, 3, 4), freeze=False)  # 167402**0.75 = 8275.9999953
+@example(case=(96770, 9, 10), freeze=False)
+@example(case=(1000, 1, 3), freeze=False)
+def test_schedule_floors_exact_rational_powers(case, freeze):
+    # p = max(1, floor(m**(a/b))) with m = n, or the power of two at or above n.
+    n, a, b = case
+    m = 1 << (n - 1).bit_length() if freeze else n
+    plan = block_length_schedule(n, a / b, dyadic_freeze=freeze)
+    assert plan.p == min(n, max(1, exact_root(m, a, b)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(replicates=st.lists(st.integers(-4, 4), min_size=1, max_size=60),
        observed=st.integers(-5, 5), level=st.floats(0.001, 0.999))
 def test_reject_counts_replicates_at_or_above_observed_under_ties(replicates, observed, level):
     B = len(replicates)
     result = decide(observed, np.array(replicates, dtype=np.float64), level)
-    m = max(1, _snap_ceil(B * (1.0 - level)))
+    m = max(1, bootstrap._snapped(B * (1.0 - level), math.ceil))
     exceed = sum(v >= observed for v in replicates)
     assert result["reject"] == (exceed <= B - m)
     assert round((B + 1) * result["p_value"]) == 1 + exceed

@@ -24,8 +24,13 @@ from blockboot import (
     v_statistic,
     vstat_test,
 )
-from blockboot.exceptions import ConfigError, CvmSpecError, InsufficientSampleError, PlanMismatchError
-from blockboot.harness import ks_sample_vs_discrete
+from blockboot.exceptions import (
+    ConfigError,
+    CvmSpecError,
+    InsufficientSampleError,
+    NonFiniteStatisticError,
+    PlanMismatchError,
+)
 from blockboot.rng import derive_stream
 from blockboot.vmstat import (
     cvm_bootstrap_evaluator,
@@ -33,7 +38,7 @@ from blockboot.vmstat import (
     vstat_bootstrap_evaluator,
 )
 from blockboot.bootstrap import counts_from_indices
-from oracles import all_block_selections, brute_force_ecdf, discrete_law
+from oracles import all_block_selections, brute_force_ecdf, discrete_law, ks_sample_vs_discrete
 
 
 def scalar_sample(values):
@@ -493,6 +498,13 @@ class TestDegeneracyDiagnostic:
         s = scalar_sample(rng.uniform(0, 2 * math.pi, 100000))
         probes = np.linspace(0, 2 * math.pi, 17)
         assert degeneracy_diagnostic(s, kern, probes) <= 0.02
+
+    def test_overflowing_kernel_is_an_error(self):
+        # inf - inf over finite data near the float range
+        s = scalar_sample([1e308, -1e308, 1e308, -1e308])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteStatisticError, match="degeneracy diagnostic is nan"):
+            degeneracy_diagnostic(s, product_kernel(), np.array([1e308, -1e308]))
 
 
 class TestSingleShotTests:
