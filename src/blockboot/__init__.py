@@ -4,13 +4,12 @@ __version__ = "0.1.0"
 
 from .bootstrap import (
     BlockPlan,
-    BootstrapDistribution,
     block_length_schedule,
     bootstrap_distribution,
     bootstrap_mean_statistic,
-    bootstrap_quantile,
     bootstrap_replicate,
     draw_bootstrap_sample,
+    empirical_quantile,
     long_run_variance_estimate,
     two_sample_test,
 )
@@ -46,7 +45,6 @@ from .vmstat import (
 __all__ = [
     "__version__",
     "BlockPlan",
-    "BootstrapDistribution",
     "CvmSpec",
     "GridFunction",
     "HilbertSample",
@@ -56,7 +54,6 @@ __all__ = [
     "bootstrap_cvm_statistic",
     "bootstrap_distribution",
     "bootstrap_mean_statistic",
-    "bootstrap_quantile",
     "bootstrap_replicate",
     "bootstrap_v_statistic",
     "cvm_kernel",
@@ -66,6 +63,7 @@ __all__ = [
     "derive_stream",
     "draw_bootstrap_sample",
     "empirical_cdf",
+    "empirical_quantile",
     "gaussian_kernel",
     "generate_functional",
     "generate_real",

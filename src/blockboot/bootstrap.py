@@ -10,14 +10,16 @@ Replicate ``r`` of a bootstrap distribution always consumes the derived
 stream ``derive_stream(seed, r)``, so the distribution is bit-identical no
 matter in which order (or on how many workers) replicates are evaluated.
 
-Every built-in statistic runs through :func:`replicate_values`: it draws
-rows of block indices in batches of about ``BATCH_BYTES``, counts each batch
-with :func:`counts_from_indices` and hands the counts to an evaluator, so the
+The built-in statistics are the names of :data:`COUNT_STATISTICS`, whose
+evaluators run through :func:`replicate_values`: it draws rows of block
+indices in batches of about ``BATCH_BYTES``, counts each batch with
+:func:`counts_from_indices` and hands the counts to the evaluator, so the
 only array that grows with ``B`` is the replicate output.  Evaluators map
 each row on its own, so the values do not depend on the batch size.
 Callable statistics are called once per replicate on the assembled sample,
 outside the batches, with rows from the same per-replicate streams
-(:func:`stream_draws`).
+(:func:`stream_draws`).  A bootstrap distribution is the ``(B,)`` or
+``(B, d)`` replicate array; a non-finite replicate raises an error.
 
 Every bootstrap test decides through :func:`bootstrap_test`, which feeds the
 replicates to :func:`decide`: the critical value is the lower empirical
@@ -163,107 +165,107 @@ def bootstrap_mean_statistic(s: HilbertSample, star: HilbertSample,
     return GridFunction(s.grid, math.sqrt(plan.kp) * diff, s.weights)
 
 
-# The built-in statistics depend on a draw only through its block counts:
-# ``evaluator(s, plan)`` returns ``evaluate(counts)``, mapping an ``(m, k)``
-# batch of count rows to its ``m`` replicate values, like the V-statistic and
-# CvM evaluators in :mod:`blockboot.vmstat`.
+def _mean_deviations(s: HilbertSample, plan: BlockPlan):
+    """Closure mapping ``(m, k)`` count rows to ``mean(star) - mean(first kp)``, as ``(m, d)``.
 
-
-class MeanStatistic:
-    """The centered, scaled bootstrap mean itself, as a grid function.
-
-    Replicates are ``(B, d)`` rows of ``sqrt(kp) * (mean(star) - mean of the
-    first kp observations)``, as :func:`bootstrap_mean_statistic` gives on
-    the assembled sample; for scalar samples, column 0 is the signed
-    statistic.
+    A bootstrap sample's mean is the count-weighted average of the ``k``
+    block means, so the deviation needs only the counts; the block means are
+    taken once per sample.
     """
+    plan.require_sample(s)
+    means = s.values[: plan.kp].reshape(plan.k, plan.p, s.d).mean(axis=1)
 
-    statistic_id = "mean"
+    def deviations(counts: np.ndarray) -> np.ndarray:
+        dev = counts.astype(np.float64) - 1.0
+        return np.einsum("bk,kd->bd", dev, means, optimize=False) / plan.k
 
-    def evaluator(self, s: HilbertSample, plan: BlockPlan):
-        plan.require_sample(s)
-        root_kp = math.sqrt(plan.kp)
-        return lambda counts: root_kp * block_mean_deviations(s, plan, counts)
-
-
-class MeanNormStatistic:
-    """Norm of the centered, scaled bootstrap mean, one float per replicate."""
-
-    statistic_id = "mean-norm"
-
-    def evaluator(self, s: HilbertSample, plan: BlockPlan):
-        plan.require_sample(s)
-        root_kp = math.sqrt(plan.kp)
-
-        def evaluate(counts: np.ndarray) -> np.ndarray:
-            dev = block_mean_deviations(s, plan, counts)
-            return root_kp * np.sqrt(np.sum(dev * dev * s.weights, axis=1))
-
-        return evaluate
+    return deviations
 
 
-class LongRunVarianceStatistic:
+def mean_evaluator(s: HilbertSample, plan: BlockPlan):
+    """``(m, d)`` rows of ``sqrt(kp) * (mean(star) - mean of the first kp observations)``.
+
+    Each row is :func:`bootstrap_mean_statistic` on the assembled sample; for
+    scalar samples, column 0 is the signed statistic.
+    """
+    deviations = _mean_deviations(s, plan)
+    root_kp = math.sqrt(plan.kp)
+    return lambda counts: root_kp * deviations(counts)
+
+
+def mean_norm_evaluator(s: HilbertSample, plan: BlockPlan):
+    """Norm of the centered, scaled bootstrap mean, one float per count row."""
+    deviations = _mean_deviations(s, plan)
+    root_kp = math.sqrt(plan.kp)
+
+    def evaluate(counts: np.ndarray) -> np.ndarray:
+        dev = deviations(counts)
+        return root_kp * np.sqrt(np.sum(dev * dev * s.weights, axis=1))
+
+    return evaluate
+
+
+def lrv_evaluator(s: HilbertSample, plan: BlockPlan):
     """:func:`long_run_variance_estimate` of each bootstrap sample.
 
     Star blocks are whole sample blocks, so with ``S_a`` the block sums
     centered at the leading mean and ``c`` a row of counts the estimate is
     ``(sum_a c_a ||S_a||^2 - ||sum_a c_a S_a||^2 / k) / kp``.
     """
+    sums = _centered_block_sums(s, plan)
+    normsq = np.sum(sums * sums * s.weights, axis=1)
 
-    statistic_id = "lrv"
+    def evaluate(counts: np.ndarray) -> np.ndarray:
+        c = counts.astype(np.float64)
+        total = np.einsum("bk,kd->bd", c, sums, optimize=False)
+        spread = (np.einsum("bk,k->b", c, normsq, optimize=False)
+                  - np.sum(total * total * s.weights, axis=1) / plan.k)
+        return np.maximum(spread, 0.0) / plan.kp
 
-    def evaluator(self, s: HilbertSample, plan: BlockPlan):
-        sums = _centered_block_sums(s, plan)
-        normsq = np.sum(sums * sums * s.weights, axis=1)
-
-        def evaluate(counts: np.ndarray) -> np.ndarray:
-            c = counts.astype(np.float64)
-            total = np.einsum("bk,kd->bd", c, sums, optimize=False)
-            spread = (np.einsum("bk,k->b", c, normsq, optimize=False)
-                      - np.sum(total * total * s.weights, axis=1) / plan.k)
-            return np.maximum(spread, 0.0) / plan.kp
-
-        return evaluate
+    return evaluate
 
 
-_COUNT_STATISTICS = (MeanStatistic, MeanNormStatistic, LongRunVarianceStatistic)
+#: The built-in statistics by name.  Each depends on a draw only through its
+#: block counts: ``COUNT_STATISTICS[name](s, plan)`` returns ``evaluate(counts)``,
+#: mapping an ``(m, k)`` batch of count rows to its ``m`` replicate values,
+#: like the V-statistic and CvM evaluators in :mod:`blockboot.vmstat`.
+COUNT_STATISTICS = {"mean": mean_evaluator, "mean-norm": mean_norm_evaluator, "lrv": lrv_evaluator}
 
 
-@dataclass(frozen=True)
-class BootstrapDistribution:
-    """Replicate values of a statistic plus what is needed to reproduce them."""
-
-    replicates: np.ndarray
-    B: int
-    seed: int
-    statistic_id: str
-    grid: np.ndarray | None = None
-    weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.B < 1:
-            raise EmptyInputError("a bootstrap distribution needs B >= 1 replicates")
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.replicates.ndim == 1
+def _count_evaluator(name: str, s: HilbertSample, plan: BlockPlan):
+    if name not in COUNT_STATISTICS:
+        raise UnsupportedStatisticError(f"unknown statistic {name!r}, not in {list(COUNT_STATISTICS)}")
+    return COUNT_STATISTICS[name](s, plan)
 
 
+def _finite(values: np.ndarray) -> np.ndarray:
+    """``values``, or :class:`NonFiniteStatisticError` if a replicate (row) is not finite."""
+    bad = int(np.count_nonzero(~np.isfinite(values).reshape(len(values), -1).all(axis=1)))
+    if bad:
+        raise NonFiniteStatisticError(f"{bad} of {len(values)} bootstrap replicates are not finite")
+    return values
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def bootstrap_replicate(s: HilbertSample, plan: BlockPlan, statistic, seed: int, r: int):
     """Value of ``statistic`` on the ``r``-th bootstrap draw.
 
     Replicate ``r`` consumes only the derived stream ``derive_stream(seed, r)``,
     so single replicates can be recomputed, skipped, or distributed across
-    workers without affecting any other replicate.
+    workers without affecting any other replicate.  A name gives row ``r`` of
+    :func:`bootstrap_distribution`, or its error; a callable's value is
+    returned as it is.
     """
+    plan.require_sample(s)
     idx = _draw_block_indices(plan, derive_stream(seed, r))
-    if isinstance(statistic, _COUNT_STATISTICS):
-        return statistic.evaluator(s, plan)(counts_from_indices(idx, plan.k))[0]
+    if isinstance(statistic, str):
+        return _finite(_count_evaluator(statistic, s, plan)(counts_from_indices(idx, plan.k)))[0]
     return statistic(s, _resample(s, plan, idx), plan)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def bootstrap_distribution(s: HilbertSample, plan: BlockPlan, B: int, statistic,
-                           seed: int, statistic_id: str | None = None) -> BootstrapDistribution:
+                           seed: int) -> np.ndarray:
     """Monte Carlo distribution of ``statistic`` over ``B`` bootstrap draws.
 
     Parameters
@@ -274,37 +276,30 @@ def bootstrap_distribution(s: HilbertSample, plan: BlockPlan, B: int, statistic,
         Block layout used for every draw.
     B : int
         Number of replicates.
-    statistic : MeanStatistic, MeanNormStatistic, LongRunVarianceStatistic or callable
-        The built-in statistics are evaluated on the block counts of each
-        batch of draws (see :func:`replicate_values`).  Any other callable
-        is called as ``statistic(s, star, plan)`` on each assembled
-        bootstrap sample ``star``, one replicate at a time, and returns a
-        float or a :class:`GridFunction` of the same shape every time.
+    statistic : str or callable
+        A name from :data:`COUNT_STATISTICS` (``"mean"``, ``"mean-norm"``,
+        ``"lrv"``) is evaluated on the block counts of each batch of draws
+        (see :func:`replicate_values`); another name raises
+        :class:`UnsupportedStatisticError`.  A callable is called as
+        ``statistic(s, star, plan)`` on each assembled bootstrap sample
+        ``star``, one replicate at a time, and returns a float or a
+        :class:`GridFunction` of the same shape every time.
     seed : int
         Master seed; replicate ``r`` uses ``derive_stream(seed, r)``.
-    statistic_id : str, optional
-        Label recorded on the distribution; defaults to the statistic's
-        ``statistic_id`` attribute or its ``__name__``.
 
     Returns
     -------
-    BootstrapDistribution
+    numpy.ndarray
         Scalar replicates as a ``(B,)`` array, grid-function replicates as a
-        ``(B, d)`` matrix with the grid and weights attached.
+        ``(B, d)`` matrix.  A non-finite replicate raises
+        :class:`NonFiniteStatisticError`, and numpy's overflow warnings on
+        finite data near the float range are not printed.
     """
     plan.require_sample(s)
-    if statistic_id is None:
-        statistic_id = getattr(statistic, "statistic_id", None) or getattr(
-            statistic, "__name__", "statistic"
-        )
-    if isinstance(statistic, _COUNT_STATISTICS):
-        replicates = replicate_values(B, statistic.evaluator(s, plan), stream_draws(plan, B, seed))
-    else:
-        replicates = _callable_replicates(s, plan, B, statistic, seed)
-    if replicates.ndim == 1:
-        return BootstrapDistribution(replicates, B, seed, statistic_id)
-    return BootstrapDistribution(replicates, B, seed, statistic_id,
-                                 grid=s.grid, weights=s.weights)
+    if isinstance(statistic, str):
+        return replicate_values(B, _count_evaluator(statistic, s, plan),
+                                stream_draws(plan, B, seed))
+    return _callable_replicates(s, plan, B, statistic, seed)
 
 
 def counts_from_indices(idx: np.ndarray, k: int) -> np.ndarray:
@@ -367,7 +362,8 @@ def replicate_values(B: int, evaluate, *sources) -> np.ndarray:
     mapped to its values by ``evaluate(*counts)``.  The output takes its
     shape and type from the first batch and is the only array that grows
     with ``B``.  Every evaluator maps each row on its own, so no value
-    depends on the batch size.
+    depends on the batch size.  A non-finite replicate raises
+    :class:`NonFiniteStatisticError`.
     """
     if B < 1:
         raise EmptyInputError("need B >= 1 bootstrap replicates")
@@ -380,7 +376,7 @@ def replicate_values(B: int, evaluate, *sources) -> np.ndarray:
         if out is None:
             out = _replicate_output(B, values.shape[1:], values.dtype)
         out[r0 : r0 + m] = values
-    return out
+    return _finite(out)
 
 
 def _callable_replicates(s: HilbertSample, plan: BlockPlan, B: int, statistic, seed: int):
@@ -404,38 +400,31 @@ def _callable_replicates(s: HilbertSample, plan: BlockPlan, B: int, statistic, s
                 f"replicate {r}: value of shape {value.shape}, replicate 0 had {out.shape[1:]}"
             )
         out[r] = value
-    return out
-
-
-def block_mean_deviations(s: HilbertSample, plan: BlockPlan, counts: np.ndarray) -> np.ndarray:
-    """``mean(star) - mean(first kp)`` per row of block counts, as ``(B, d)``.
-
-    A bootstrap sample's mean is the count-weighted average of the ``k``
-    block means, so the deviation needs only the ``(B, k)`` counts.
-    """
-    means = s.values[: plan.kp].reshape(plan.k, plan.p, s.d).mean(axis=1)
-    dev = counts.astype(np.float64) - 1.0
-    return np.einsum("bk,kd->bd", dev, means, optimize=False) / plan.k
+    return _finite(out)
 
 
 def empirical_quantile(values: np.ndarray, q: float) -> float:
-    """Lower empirical quantile: the ``ceil(B*q)``-th order statistic."""
+    """Lower empirical quantile of scalar replicates: the ``ceil(B*q)``-th order statistic."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must lie in (0, 1), got {q}")
     values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise UnsupportedStatisticError("quantiles are defined for scalar replicates only")
     B = values.size
     if B < 1:
         raise EmptyInputError("cannot take a quantile of zero replicates")
-    if not np.all(np.isfinite(values)):
-        bad = int(np.count_nonzero(~np.isfinite(values)))
-        raise NonFiniteStatisticError(f"{bad} of {B} bootstrap replicates are not finite")
     m = max(1, _snapped(B * q, math.ceil))
-    return float(np.partition(values, m - 1)[m - 1])
+    return float(np.partition(_finite(values), m - 1)[m - 1])
 
 
-def _check_level(level: float) -> None:
+def _checked_observed(observed: float, level: float) -> float:
+    """``observed`` as a float, once it and ``level`` are valid."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
+    observed = float(observed)
+    if not math.isfinite(observed):
+        raise NonFiniteStatisticError(f"observed statistic is {observed}")
+    return observed
 
 
 def decide(observed: float, replicates: np.ndarray, level: float) -> dict:
@@ -447,10 +436,7 @@ def decide(observed: float, replicates: np.ndarray, level: float) -> dict:
     exactly when ``#{replicates >= observed} <= B - m``.  All values returned
     are plain Python scalars.
     """
-    _check_level(level)
-    observed = float(observed)
-    if not math.isfinite(observed):
-        raise NonFiniteStatisticError(f"observed statistic is {observed}")
+    observed = _checked_observed(observed, level)
     replicates = np.asarray(replicates, dtype=np.float64)
     B = replicates.size
     if B < 1:
@@ -473,21 +459,12 @@ def bootstrap_test(observed: float, evaluate, level: float, B: int, *sources) ->
     """Decision of a bootstrap test on ``B`` replicates of ``evaluate``.
 
     The replicates come from :func:`replicate_values` over the draw
-    ``sources``; the result is :func:`decide`'s dict plus the replicate
-    array under ``"replicates"``.
+    ``sources``, once ``observed`` and ``level`` are valid; the result is
+    :func:`decide`'s dict plus the replicate array under ``"replicates"``.
     """
-    _check_level(level)
+    observed = _checked_observed(observed, level)
     values = replicate_values(B, evaluate, *sources)
     return {**decide(observed, values, level), "replicates": values}
-
-
-def bootstrap_quantile(dist: BootstrapDistribution, q: float) -> float:
-    """Lower empirical quantile of a scalar bootstrap distribution."""
-    if not dist.is_scalar:
-        raise UnsupportedStatisticError(
-            "quantiles are defined for scalar replicates only"
-        )
-    return empirical_quantile(dist.replicates, q)
 
 
 def _centered_block_sums(s: HilbertSample, plan: BlockPlan) -> np.ndarray:
@@ -521,14 +498,16 @@ def two_sample_statistics(x: HilbertSample, y: HilbertSample, plan_x: BlockPlan,
     diff = x.values[: plan_x.kp].mean(axis=0) - y.values[: plan_y.kp].mean(axis=0)
     observed = float(np.sqrt(np.sum(diff * diff * x.weights)))
 
+    deviations_x, deviations_y = _mean_deviations(x, plan_x), _mean_deviations(y, plan_y)
+
     def evaluate(counts_x: np.ndarray, counts_y: np.ndarray) -> np.ndarray:
-        delta = (block_mean_deviations(x, plan_x, counts_x)
-                 - block_mean_deviations(y, plan_y, counts_y))
+        delta = deviations_x(counts_x) - deviations_y(counts_y)
         return np.sqrt(np.sum(delta * delta * x.weights, axis=1))
 
     return observed, evaluate
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def two_sample_test(x: HilbertSample, y: HilbertSample, plan_x: BlockPlan,
                     plan_y: BlockPlan, B: int, seed: int, level: float) -> dict:
     """Bootstrap test for equality of the two population means.
@@ -538,9 +517,11 @@ def two_sample_test(x: HilbertSample, y: HilbertSample, plan_x: BlockPlan,
     bootstrapped counterpart, in which each sample is resampled
     independently and recentered at its own mean.
 
-    Returns a dict with the observed statistic, critical value, p-value and
-    reject flag.  Replicate ``r`` draws from ``derive_stream(seed, r)`` (X)
-    and ``derive_stream(seed, r, 1)`` (Y).
+    Returns a dict with the observed statistic, critical value, p-value,
+    reject flag and replicates; a non-finite statistic raises
+    :class:`NonFiniteStatisticError` without numpy warnings.  Replicate
+    ``r`` draws from ``derive_stream(seed, r)`` (X) and
+    ``derive_stream(seed, r, 1)`` (Y).
     """
     plan_x.require_sample(x)
     plan_y.require_sample(y)

@@ -23,11 +23,9 @@ import numpy as np
 from . import __version__
 from .bootstrap import (
     BlockPlan,
-    LongRunVarianceStatistic,
-    MeanNormStatistic,
     block_length_schedule,
     bootstrap_distribution,
-    bootstrap_quantile,
+    empirical_quantile,
     long_run_variance_estimate,
     two_sample_test,
 )
@@ -134,25 +132,18 @@ def cmd_generate(args) -> int:
 def cmd_bootstrap(args) -> int:
     sample = read_sample(args.data, args.sidecar)
     plan = _plan_from_args(sample.n, args)
-    if args.statistic == "mean-norm":
-        statistic = MeanNormStatistic()
-    elif args.statistic == "lrv":
-        statistic = LongRunVarianceStatistic()
-    else:
-        raise ConfigError(f"unknown statistic {args.statistic!r}")
-    dist = bootstrap_distribution(sample, plan, args.replicates, statistic, args.seed)
-    values = dist.replicates
+    values = bootstrap_distribution(sample, plan, args.replicates, args.statistic, args.seed)
     payload = {
         "schema": 1,
         "version": __version__,
         "command": "bootstrap",
         "plan": plan.to_dict(),
         "seed": args.seed,
-        "statistic": dist.statistic_id,
+        "statistic": args.statistic,
         "replicates": {
             "count": int(values.size),
             "mean": float(values.mean()),
-            "quantiles": {str(q): bootstrap_quantile(dist, q) for q in _QUANTILES},
+            "quantiles": {str(q): empirical_quantile(values, q) for q in _QUANTILES},
         },
     }
     if args.statistic == "lrv":

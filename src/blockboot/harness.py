@@ -26,10 +26,10 @@ from scipy import stats as _sstats
 from . import __version__
 from .bootstrap import (
     BlockPlan,
-    MeanNormStatistic,
     block_length_schedule,
     bootstrap_test,
     generator_draws,
+    mean_norm_evaluator,
     two_sample_statistics,
 )
 # Traced by perfbench/tracing.py.
@@ -268,7 +268,7 @@ def _mean_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
     # All built-in processes are centered, so the truth is the zero function.
     observed = float(root_kp * np.sqrt(np.sum(center * center * s.weights)))
     record, boot = _bootstrap_record(cfg, plan, r, observed,
-                                     MeanNormStatistic().evaluator(s, plan), _TAG_BOOT)
+                                     mean_norm_evaluator(s, plan), _TAG_BOOT)
     if s.d == 1:
         radius = record.critical_value / root_kp
         record.ci_low = float(center[0] - radius)

@@ -182,12 +182,6 @@ class HilbertSample:
             raise DomainMismatchError("sample is not scalar (d != 1)")
         return self.values[:, 0]
 
-    def restrict(self, m: int) -> "HilbertSample":
-        """The sample of the first ``m`` observations."""
-        if not 1 <= m <= self.n:
-            raise IndexError(f"cannot restrict a length-{self.n} sample to {m}")
-        return HilbertSample(self.grid, self.weights, self.values[:m])
-
 
 def same_space(a, b) -> bool:
     """Whether two grid functions or samples share their grid and weights."""

@@ -475,12 +475,15 @@ def vstat_statistics(s: HilbertSample, plan: BlockPlan, h: Kernel) -> tuple[floa
     return s.n * v_statistic(s, h), vstat_bootstrap_evaluator(s, plan, h)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def vstat_test(s: HilbertSample, h: Kernel, plan: BlockPlan, B: int, seed: int,
                level: float) -> dict:
     """Bootstrap test based on the scaled V-statistic ``n * V_n``.
 
     Critical values come from ``B`` bootstrap replicates of the three-term
-    ``kp * V*``; replicate ``r`` draws from ``derive_stream(seed, r)``.
+    ``kp * V*``; replicate ``r`` draws from ``derive_stream(seed, r)``.  A
+    non-finite statistic raises :class:`NonFiniteStatisticError` without
+    numpy warnings.
     """
     return bootstrap_test(*vstat_statistics(s, plan, h), level, B, stream_draws(plan, B, seed))
 

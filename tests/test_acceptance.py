@@ -32,7 +32,6 @@ from blockboot import (
     u_statistic,
     v_statistic,
 )
-from blockboot.bootstrap import MeanStatistic
 from blockboot.generators import ProcessConfig
 from blockboot.harness import ExperimentConfig, run_experiment
 from blockboot.rng import derive_stream
@@ -67,10 +66,10 @@ def test_criterion_01_exact_bootstrap_oracle(announce):
     data = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     s = scalar_sample(data)
     plan = BlockPlan(n=6, p=2)
-    dist = bootstrap_distribution(s, plan, 100000, MeanStatistic(), seed=20260801)
+    dist = bootstrap_distribution(s, plan, 100000, "mean", seed=20260801)
     exact = [float(v) * math.sqrt(6.0) for v in exact_centered_mean_law(data, 2)]
     support, probs = discrete_law(exact, tol=1e-12)
-    distance = ks_sample_vs_discrete(dist.replicates[:, 0], support, probs)
+    distance = ks_sample_vs_discrete(dist[:, 0], support, probs)
     elapsed = time.perf_counter() - started
     ok = distance < 0.01 and elapsed < 5.0
     announce(1, ok, f"KS(MC, exact 27-point law) = {distance:.5f} < 0.01, "

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -11,21 +12,18 @@ from blockboot import (
     block_length_schedule,
     bootstrap_distribution,
     bootstrap_mean_statistic,
-    bootstrap_quantile,
     bootstrap_replicate,
     draw_bootstrap_sample,
+    empirical_quantile,
     long_run_variance_estimate,
     two_sample_test,
 )
 from blockboot import bootstrap
 from blockboot.bootstrap import (
-    LongRunVarianceStatistic,
-    MeanNormStatistic,
-    MeanStatistic,
+    COUNT_STATISTICS,
     block_counts_per_replicate,
     counts_from_indices,
     decide,
-    empirical_quantile,
 )
 from blockboot.exceptions import (
     EmptyInputError,
@@ -208,23 +206,23 @@ class TestBootstrapDistribution:
         s = scalar_sample(np.arange(5.0))
         plan = BlockPlan(n=5, p=2)
         dist = bootstrap_distribution(s, plan, 16, lambda a, b, c: 3.25, seed=0)
-        assert np.all(dist.replicates == 3.25)
+        assert dist.shape == (16,) and np.all(dist == 3.25)
 
     def test_single_block_mean_statistic_is_degenerate(self):
         s = scalar_sample(np.arange(7.0))
         plan = BlockPlan(n=7, p=7)
-        dist = bootstrap_distribution(s, plan, 32, MeanNormStatistic(), seed=1)
-        assert np.all(dist.replicates == 0.0)
+        dist = bootstrap_distribution(s, plan, 32, "mean-norm", seed=1)
+        assert np.all(dist == 0.0)
 
     def test_law_matches_enumeration(self):
         # oracle: the 27-point exact law; Kolmogorov distance must be small
         data = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         s = scalar_sample(data)
         plan = BlockPlan(n=6, p=2)
-        dist = bootstrap_distribution(s, plan, 20000, MeanStatistic(), seed=99)
+        dist = bootstrap_distribution(s, plan, 20000, "mean", seed=99)
         exact = [float(v) * math.sqrt(6.0) for v in exact_centered_mean_law(data, 2)]
         support, probs = discrete_law(exact, tol=1e-12)
-        d = ks_sample_vs_discrete(dist.replicates[:, 0], support, probs)
+        d = ks_sample_vs_discrete(dist[:, 0], support, probs)
         assert d < 0.02
 
     @staticmethod
@@ -237,14 +235,14 @@ class TestBootstrapDistribution:
             value = bootstrap_replicate(s, plan, statistic, 42, r)
             if isinstance(value, GridFunction):
                 value = value.values
-            assert np.array_equal(dist.replicates[r], value)
+            assert np.array_equal(dist[r], value)
 
     def test_replicates_independent_of_evaluation_order(self):
-        self.assert_replicates_recomputable(MeanNormStatistic())
+        self.assert_replicates_recomputable("mean-norm")
 
     @pytest.mark.parametrize("statistic", [
-        MeanStatistic(),
-        LongRunVarianceStatistic(),
+        "mean",
+        "lrv",
         lambda s, star, plan: float(np.sum(star.values[:, 0] * np.arange(star.n))),
         bootstrap_mean_statistic,
     ], ids=["mean", "lrv", "float-callable", "grid-callable"])
@@ -261,6 +259,49 @@ class TestBootstrapDistribution:
 
         with pytest.raises(ValueError, match=r"replicate 0: boom"):
             bootstrap_distribution(s, plan, 4, broken, seed=0)
+
+    def test_unknown_name_is_unsupported(self):
+        s = scalar_sample(np.arange(6.0))
+        plan = BlockPlan(n=6, p=2)
+        with pytest.raises(UnsupportedStatisticError, match="unknown statistic 'median'"):
+            bootstrap_distribution(s, plan, 4, "median", seed=0)
+        with pytest.raises(UnsupportedStatisticError, match="unknown statistic 'median'"):
+            bootstrap_replicate(s, plan, "median", 0, 1)
+
+    def test_plan_mismatch(self):
+        s = scalar_sample(np.arange(10.0))
+        plan = BlockPlan(n=8, p=2)
+
+        def statistic(sample, star, pl):
+            return float(star.values.sum())
+
+        with pytest.raises(PlanMismatchError):
+            bootstrap_distribution(s, plan, 4, statistic, seed=0)
+        with pytest.raises(PlanMismatchError):
+            bootstrap_replicate(s, plan, statistic, 0, 1)
+
+    def test_data_near_the_float_range_raise_without_warnings(self):
+        # Finite data whose block means overflow: every library entry point
+        # raises a typed error, with the text a harness record would carry,
+        # and numpy prints no overflow or invalid-value warning.
+        s = scalar_sample([1e308, 1e308, -1e308, -1e308, 1.0, 2.0])
+        plan = BlockPlan(n=6, p=2)
+        calls = [("of 20 bootstrap replicates are not finite",
+                  lambda name=name: bootstrap_distribution(s, plan, 20, name, 0))
+                 for name in sorted(COUNT_STATISTICS)]
+        calls += [
+            ("1 of 1 bootstrap replicates are not finite",
+             lambda: bootstrap_replicate(s, plan, "mean-norm", 0, 3)),
+            ("observed statistic is nan", lambda: two_sample_test(s, s, plan, plan, 20, 0, 0.05)),
+            ("observed statistic is inf",
+             lambda: vstat_test(s, product_kernel(), plan, 20, 0, 0.05)),
+        ]
+        for message, call in calls:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(NonFiniteStatisticError, match=message):
+                    call()
+            assert [str(w.message) for w in caught] == []
 
     def test_counts_helper_matches_streams(self):
         plan = BlockPlan(n=40, p=5)
@@ -281,7 +322,7 @@ class TestReplicateMemory:
         y = scalar_sample(derive_stream(82).standard_normal(n))
         plan = BlockPlan(n=n, p=5)
         run = {
-            "mean-norm": lambda: bootstrap_distribution(x, plan, B, MeanNormStatistic(), 3),
+            "mean-norm": lambda: bootstrap_distribution(x, plan, B, "mean-norm", 3),
             "two-sample": lambda: two_sample_test(x, y, plan, plan, B, 3, 0.05),
             "vstat": lambda: vstat_test(x, product_kernel(), plan, B, 3, 0.05),
         }[path]
@@ -296,7 +337,7 @@ class TestReplicateMemory:
 
     # Each output is allocated after its first batch (the first value for callables).
     @pytest.mark.parametrize("statistic", [
-        MeanStatistic(), MeanNormStatistic(), LongRunVarianceStatistic(),
+        "mean", "mean-norm", "lrv",
         lambda s, star, plan: float(star.values.sum()),
     ], ids=["mean", "mean-norm", "lrv", "callable"])
     def test_unallocatable_replicates_raise_a_typed_error(self, statistic):
@@ -317,14 +358,12 @@ class TestReplicateMemory:
                 bootstrap_distribution(s, plan, 4, grid_then_float, seed=0)
 
 
-class TestBootstrapQuantile:
+class TestEmpiricalQuantile:
     def test_order_statistic_definition(self):
-        dist = _scalar_dist([1.0, 2.0, 3.0, 4.0])
-        assert bootstrap_quantile(dist, 0.5) == 2.0
+        assert empirical_quantile([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
 
     def test_boundary_below_one_over_b(self):
-        dist = _scalar_dist([5.0, 1.0, 3.0, 9.0])
-        assert bootstrap_quantile(dist, 0.2) == 1.0
+        assert empirical_quantile([5.0, 1.0, 3.0, 9.0], 0.2) == 1.0
 
     def test_uniform_quantile_oracle(self):
         values = derive_stream(12).uniform(0, 1, 100000)
@@ -333,21 +372,22 @@ class TestBootstrapQuantile:
     def test_vector_replicates_unsupported(self):
         s = scalar_sample(np.arange(6.0))
         plan = BlockPlan(n=6, p=2)
-        dist = bootstrap_distribution(s, plan, 8, MeanStatistic(), seed=3)
-        with pytest.raises(UnsupportedStatisticError):
-            bootstrap_quantile(dist, 0.5)
+        dist = bootstrap_distribution(s, plan, 8, "mean", seed=3)
+        assert dist.shape == (8, 1)
+        with pytest.raises(UnsupportedStatisticError, match="scalar replicates only"):
+            empirical_quantile(dist, 0.5)
 
     def test_level_bounds(self):
-        dist = _scalar_dist([1.0, 2.0])
         with pytest.raises(ValueError):
-            bootstrap_quantile(dist, 1.0)
+            empirical_quantile([1.0, 2.0], 1.0)
 
     def test_non_finite_replicate_is_an_error(self):
         s = scalar_sample(np.arange(6.0))
         plan = BlockPlan(n=6, p=2)
-        dist = bootstrap_distribution(s, plan, 8, lambda a, b, c: float("nan"), seed=0)
-        with pytest.raises(NonFiniteStatisticError):
-            bootstrap_quantile(dist, 0.5)
+        with pytest.raises(NonFiniteStatisticError, match="^8 of 8 bootstrap replicates"):
+            bootstrap_distribution(s, plan, 8, lambda a, b, c: float("nan"), seed=0)
+        with pytest.raises(NonFiniteStatisticError, match="^1 of 3 bootstrap replicates"):
+            empirical_quantile([1.0, float("nan"), 2.0], 0.5)
 
 
 class TestDecide:
@@ -383,13 +423,6 @@ class TestDecide:
     def test_level_bounds(self, level):
         with pytest.raises(ValueError, match="level must lie in"):
             decide(1.0, np.arange(10.0), level)
-
-
-def _scalar_dist(values):
-    from blockboot.bootstrap import BootstrapDistribution
-
-    return BootstrapDistribution(np.asarray(values, dtype=np.float64),
-                                 B=len(values), seed=0, statistic_id="test")
 
 
 class TestLongRunVariance:

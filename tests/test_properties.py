@@ -32,13 +32,12 @@ from blockboot import (
 import blockboot.bootstrap as bootstrap
 import blockboot.vmstat as vmstat
 from blockboot.bootstrap import (
-    LongRunVarianceStatistic,
-    MeanNormStatistic,
-    MeanStatistic,
+    COUNT_STATISTICS,
     block_counts_per_replicate,
     counts_from_indices,
     decide,
     generator_draws,
+    mean_norm_evaluator,
     replicate_values,
     two_sample_statistics,
 )
@@ -117,12 +116,16 @@ def _star_lrv(s, star, plan):
     return long_run_variance_estimate(star, BlockPlan(n=star.n, p=plan.p))
 
 
-COUNT_STATISTICS = {
-    "mean": (MeanStatistic(), lambda s, star, plan: bootstrap_mean_statistic(s, star, plan).values),
-    "mean-norm": (MeanNormStatistic(),
-                  lambda s, star, plan: norm(bootstrap_mean_statistic(s, star, plan))),
-    "lrv": (LongRunVarianceStatistic(), _star_lrv),
+#: Each count statistic's value on an assembled bootstrap sample, by its name.
+REFERENCES = {
+    "mean": lambda s, star, plan: bootstrap_mean_statistic(s, star, plan).values,
+    "mean-norm": lambda s, star, plan: norm(bootstrap_mean_statistic(s, star, plan)),
+    "lrv": _star_lrv,
 }
+
+
+def test_every_count_statistic_has_a_reference():
+    assert set(REFERENCES) == set(COUNT_STATISTICS)
 
 
 @pytest.mark.parametrize("name", sorted(COUNT_STATISTICS))
@@ -130,10 +133,9 @@ COUNT_STATISTICS = {
 @given(data=st.data(), d=st.sampled_from([1, 3]), B=st.integers(1, 8), seed=SEEDS)
 def test_count_statistics_match_assembled_samples(name, data, d, B, seed):
     s, plan = data.draw(sample_and_plan(d))
-    statistic, reference = COUNT_STATISTICS[name]
-    dist = bootstrap_distribution(s, plan, B, statistic, seed)
-    expected = [reference(s, star, plan) for star in assembled(s, plan, seed, B)]
-    np.testing.assert_allclose(dist.replicates, np.array(expected), rtol=1e-12, atol=1e-12)
+    dist = bootstrap_distribution(s, plan, B, name, seed)
+    expected = [REFERENCES[name](s, star, plan) for star in assembled(s, plan, seed, B)]
+    np.testing.assert_allclose(dist, np.array(expected), rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -143,7 +145,7 @@ def test_vstat_evaluator_matches_assembled_samples(sp, B, seed, token):
     s, plan = sp
     kernel = kernel_from_token(token)
     values = vstat_bootstrap_evaluator(s, plan, kernel)(block_counts_per_replicate(plan, seed, B))
-    lead = s.restrict(plan.kp)
+    lead = HilbertSample(s.grid, s.weights, s.values[: plan.kp])
     expected = [plan.kp * bootstrap_v_statistic(lead, star, kernel)
                 for star in assembled(s, plan, seed, B)]
     np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12)
@@ -207,7 +209,7 @@ def test_cvm_evaluator_matches_assembled_samples(case, B, seed):
     (s, plan), null = case
     spec = make_cvm_spec(null.cdf, null.support, null.weight_fn, sample=s, n_grid=256)
     values = cvm_bootstrap_evaluator(s, plan, spec)(block_counts_per_replicate(plan, seed, B))
-    lead = s.restrict(plan.kp)
+    lead = HilbertSample(s.grid, s.weights, s.values[: plan.kp])
     expected = [bootstrap_cvm_statistic(lead, star, spec) for star in assembled(s, plan, seed, B)]
     np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12)
 
@@ -323,12 +325,10 @@ def replicate_paths(s, y, plan, B, seed):
             B, evaluate, *[generator_draws(plan, derive_stream(seed, tag)) for tag in tags])
 
     paths = {}
-    for name, (statistic, _) in COUNT_STATISTICS.items():
-        paths[name] = (k, lambda st=statistic: bootstrap_distribution(
-            s, plan, B, st, seed).replicates)
-        paths[name + "/harness"] = (k, harness(statistic.evaluator(s, plan), 2))
-    paths["callable"] = (k, lambda: bootstrap_distribution(
-        s, plan, B, _order_sensitive, seed).replicates)
+    for name, evaluator in COUNT_STATISTICS.items():
+        paths[name] = (k, lambda name=name: bootstrap_distribution(s, plan, B, name, seed))
+        paths[name + "/harness"] = (k, harness(evaluator(s, plan), 2))
+    paths["callable"] = (k, lambda: bootstrap_distribution(s, plan, B, _order_sensitive, seed))
     paths["two-sample"] = (2 * k, lambda: two_sample_test(
         s, y, plan, plan, B, seed, 0.1)["replicates"])
     paths["two-sample/harness"] = (2 * k, harness(two_sample_statistics(s, y, plan, plan)[1],
@@ -360,7 +360,7 @@ def test_batch_size_does_not_change_any_replicate(parity, data, d, half, seed):
         for values in split:
             assert values.shape == whole.shape and values.tobytes() == whole.tobytes(), name
     # One batch of the harness source is one (B, k) draw of its stream.
-    evaluator = MeanNormStatistic().evaluator(s, plan)
+    evaluator = mean_norm_evaluator(s, plan)
     idx = derive_stream(seed, 2).integers(0, plan.k, size=(B, plan.k))
     reference = evaluator(counts_from_indices(idx, plan.k))
     got = batched(13, plan.k, lambda: replicate_values(

@@ -5,6 +5,8 @@ import pathlib
 
 import pytest
 
+import blockboot
+
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "blockboot"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
@@ -46,6 +48,13 @@ def test_checker_flags_an_unused_import():
 def test_every_import_is_read(path):
     unused, _ = unused_imports(path.read_text())
     assert unused == []
+
+
+def test_public_names_are_the_imported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(blockboot.__all__) == sorted(["__version__", *imported])
 
 
 def test_only_the_traced_imports_go_unread():
