@@ -475,16 +475,22 @@ def _centered_block_sums(s: HilbertSample, plan: BlockPlan) -> np.ndarray:
     return centered.reshape(plan.k, plan.p, s.d).sum(axis=1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def long_run_variance_estimate(s: HilbertSample, plan: BlockPlan) -> float:
     """Average squared norm of centered block sums, scaled by ``1/(kp)``.
 
     Estimates the variance of the limiting Gaussian of the scaled sample
     mean; for independent scalar data it converges to the marginal variance,
-    and under dependence to the sum of all lagged autocovariances.
+    and under dependence to the sum of all lagged autocovariances.  Finite
+    data whose estimate overflows raise :class:`NonFiniteStatisticError`
+    without numpy warnings.
     """
     sums = _centered_block_sums(s, plan)
     normsq = np.sum(sums * sums * s.weights, axis=1)
-    return float(np.sum(normsq) / plan.kp)
+    estimate = float(np.sum(normsq) / plan.kp)
+    if not math.isfinite(estimate):
+        raise NonFiniteStatisticError(f"long-run variance estimate is {estimate}")
+    return estimate
 
 
 def two_sample_statistics(x: HilbertSample, y: HilbertSample, plan_x: BlockPlan,

@@ -121,11 +121,9 @@ def cmd_generate(args) -> int:
     if process.is_functional:
         grid, w = grid_spec.make()
         sample = generate_functional(process, args.n, grid, w)
-        sidecar = args.sidecar if args.sidecar else args.out + ".grid.csv"
-        write_sample(sample, args.out, sidecar, pointwise_w=w)
     else:
-        sample = generate_real(process, args.n)
-        write_sample(sample, args.out, args.sidecar)
+        sample, w = generate_real(process, args.n), None
+    write_sample(sample, args.out, args.sidecar, pointwise_w=w)
     return 0
 
 

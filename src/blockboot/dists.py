@@ -13,7 +13,7 @@ from .exceptions import ConfigError
 
 @dataclass(frozen=True)
 class Distribution:
-    """A hypothesized marginal: CDF, optional density, and finite support.
+    """A hypothesized marginal: CDF, finite support and default weight.
 
     ``support`` is the interval the default goodness-of-fit weight lives on;
     for unbounded laws it is a wide quantile range.  ``weight_fn`` is the
@@ -23,7 +23,6 @@ class Distribution:
 
     name: str
     cdf: Callable
-    pdf: Callable | None
     support: tuple[float, float]
     weight_fn: Callable | None
 
@@ -37,7 +36,6 @@ def normal(mu: float = 0.0, sigma: float = 1.0) -> Distribution:
     return Distribution(
         name=f"normal:{mu},{sigma}",
         cdf=frozen.cdf,
-        pdf=frozen.pdf,
         support=(mu - 8.0 * sigma, mu + 8.0 * sigma),
         weight_fn=frozen.pdf,
     )
@@ -52,7 +50,6 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Distribution:
     return Distribution(
         name=f"uniform:{a},{b}",
         cdf=frozen.cdf,
-        pdf=frozen.pdf,
         support=(a, b),
         weight_fn=None,
     )
@@ -67,7 +64,6 @@ def student_t(df: float, scale: float = 1.0) -> Distribution:
     return Distribution(
         name=f"t:{df},{scale}",
         cdf=frozen.cdf,
-        pdf=frozen.pdf,
         support=(-16.0 * scale, 16.0 * scale),
         weight_fn=frozen.pdf,
     )

@@ -7,7 +7,9 @@ quadrature weights are rebuilt with :func:`blockboot.hilbert.trapezoid_weights`
 on read.  Scalar series need no sidecar.
 
 All floats are written with ``repr``, which round-trips every finite double
-bit-exactly.
+bit-exactly.  Both files are read with :func:`numpy.loadtxt`, which gives each
+cell the double ``float`` gives it; blank lines are skipped, and a bad cell or
+row is a :class:`ValueError` of the path and numpy's message (row, column).
 """
 
 from __future__ import annotations
@@ -24,22 +26,14 @@ def _fmt_row(row) -> str:
     return ",".join(repr(float(v)) for v in row)
 
 
-def _parse_rows(text: str, path: str) -> np.ndarray:
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rows.append([float(tok) for tok in line.split(",")])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: not a numeric CSV row") from exc
-    if not rows:
+def _parse_rows(lines: list[str], path: str) -> np.ndarray:
+    lines = [line if line.strip() else "" for line in lines]  # numpy rejects "   "
+    if not any(lines):
         raise EmptyInputError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: rows have inconsistent column counts {sorted(widths)}")
-    return np.array(rows, dtype=np.float64)
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_sample(sample: HilbertSample, data_path: str, sidecar_path: str | None = None,
@@ -57,24 +51,21 @@ def write_sample(sample: HilbertSample, data_path: str, sidecar_path: str | None
         ``data_path + ".grid.csv"`` for non-scalar samples; scalar samples
         (d=1, unit weight) are written without a sidecar unless one is named.
     pointwise_w : array_like, optional
-        Pointwise weight values to record in the sidecar; defaults to 1.
+        Pointwise weight values to record in the sidecar; defaults to 1.  The
+        trapezoid rule must rebuild ``sample.weights`` from them bitwise.
     """
     if not np.all(np.isfinite(sample.values)):
         raise ValueError("only finite values can be round-tripped")
+    if trapezoid_weights(sample.grid, pointwise_w).tobytes() != sample.weights.tobytes():
+        raise ValueError("pointwise_w does not rebuild the sample's weights by the trapezoid rule")
     with open(data_path, "w", encoding="ascii") as fh:
         for row in sample.values:
             fh.write(_fmt_row(row) + "\n")
-    scalar = sample.d == 1 and sample.weights[0] == 1.0
     if sidecar_path is None:
-        if scalar and pointwise_w is None:
+        if sample.d == 1 and pointwise_w is None:  # unit weight, by the check above
             return
         sidecar_path = data_path + ".grid.csv"
-    if pointwise_w is None:
-        w = np.ones(sample.d)
-    else:
-        w = np.asarray(pointwise_w, dtype=np.float64)
-        if w.shape != (sample.d,):
-            raise ValueError("pointwise_w must match the grid length")
+    w = np.ones(sample.d) if pointwise_w is None else pointwise_w
     with open(sidecar_path, "w", encoding="ascii") as fh:
         fh.write("grid,w\n")
         for t, wj in zip(sample.grid, w):
@@ -90,7 +81,7 @@ def read_sample(data_path: str, sidecar_path: str | None = None) -> HilbertSampl
     the trapezoid rule from the recorded grid and pointwise weights.
     """
     with open(data_path, "r", encoding="ascii") as fh:
-        values = _parse_rows(fh.read(), data_path)
+        values = _parse_rows(fh.read().splitlines(), data_path)
     if sidecar_path is None:
         default = data_path + ".grid.csv"
         sidecar_path = default if os.path.exists(default) else None
@@ -101,11 +92,10 @@ def read_sample(data_path: str, sidecar_path: str | None = None) -> HilbertSampl
         grid = np.arange(d, dtype=np.float64)
         return HilbertSample(grid, trapezoid_weights(grid), values)
     with open(sidecar_path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    lines = text.splitlines()
+        lines = fh.read().splitlines()
     if not lines or lines[0].strip().lower() != "grid,w":
         raise ValueError(f"{sidecar_path}: expected header 'grid,w'")
-    table = _parse_rows("\n".join(lines[1:]), sidecar_path)
+    table = _parse_rows(lines[1:], sidecar_path)
     if table.shape[1] != 2:
         raise ValueError(f"{sidecar_path}: expected two columns (grid, w)")
     grid, w = table[:, 0], table[:, 1]

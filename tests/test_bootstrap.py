@@ -295,6 +295,7 @@ class TestBootstrapDistribution:
             ("observed statistic is nan", lambda: two_sample_test(s, s, plan, plan, 20, 0, 0.05)),
             ("observed statistic is inf",
              lambda: vstat_test(s, product_kernel(), plan, 20, 0, 0.05)),
+            ("long-run variance estimate is inf", lambda: long_run_variance_estimate(s, plan)),
         ]
         for message, call in calls:
             with warnings.catch_warnings(record=True) as caught:

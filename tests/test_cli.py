@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import blockboot.harness as harness
 from blockboot.cli import main
-from blockboot.hilbert import HilbertSample
+from blockboot.hilbert import HilbertSample, trapezoid_weights
 from blockboot.io import read_sample, write_sample
 from child_env import child_env
 
@@ -393,8 +393,9 @@ def fuzz_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     values = np.random.default_rng(8).standard_normal((FUZZ_N, 3))
     paths = []
+    grid = np.linspace(0, 1, 3)
     for name, sample in (("scalar.csv", HilbertSample.from_scalars(values[:, 0])),
-                         ("functional.csv", HilbertSample(np.linspace(0, 1, 3), np.ones(3),
+                         ("functional.csv", HilbertSample(grid, trapezoid_weights(grid),
                                                           values))):
         write_sample(sample, str(root / name))
         paths.append(str(root / name))

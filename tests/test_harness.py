@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import blockboot.harness as harness
+from blockboot.dists import normal, student_t
 from blockboot.exceptions import ConfigError
-from blockboot.generators import ProcessConfig
+from blockboot.generators import ProcessConfig, generate_real
 from blockboot.harness import (
     ExperimentConfig,
     GridSpec,
@@ -106,6 +107,20 @@ class TestResolveNull:
         assert null.cdf(0.0) == pytest.approx(0.5)
         # marginal sd of the stationary AR(1)
         assert "1.25" in null.name
+
+    # The scale of an auto null is the process's marginal standard deviation:
+    # n = 20000 draws sit within Kolmogorov distance 0.015 of the resolved
+    # null (the iid 99.9% quantile is 1.95/sqrt(n) = 0.0138), and farther
+    # than 0.025 from the same law at unit scale.
+    @pytest.mark.parametrize("process, unscaled", [
+        (ProcessConfig(kind="iid", innovation="student-t", t_df=6), student_t(6)),
+        (ProcessConfig(kind="linear-real", coefficients=(1.0, -0.6, 0.3)), normal()),
+    ], ids=["iid-student-t", "linear-real-gaussian"])
+    def test_auto_null_fits_the_marginal(self, process, unscaled):
+        null = resolve_null(mean_config(statistic="cvm", process=process))
+        x = generate_real(process, 20000, rng=derive_stream(20000)).values[:, 0]
+        assert ks_sample_vs_cdf(x, null.cdf) < 0.015
+        assert ks_sample_vs_cdf(x, unscaled.cdf) > 0.025
 
     def test_explicit_token_wins(self):
         cfg = mean_config(statistic="cvm", null="uniform:0,2")

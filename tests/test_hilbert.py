@@ -1,5 +1,11 @@
+import os
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockboot import (
     GridFunction,
@@ -209,3 +215,118 @@ class TestCsvRoundTrip:
         write_sample(sample, str(data))
         loaded = read_sample(str(data))
         assert loaded.weights.tobytes() == sample.weights.tobytes()
+
+    def test_weights_the_sidecar_cannot_rebuild_are_refused(self, tmp_path):
+        # Without pointwise_w the sidecar would record weight 1 and read back
+        # other weights; nothing is written.
+        grid = np.linspace(0, 1, 5)
+        pointwise = [1.0, 2.0, 3.0, 4.0, 5.0]
+        functional = HilbertSample(grid, trapezoid_weights(grid, pointwise), np.ones((3, 5)))
+        scalar = HilbertSample([0.0], [2.0], np.ones((3, 1)))
+        for name, sample, w in [("f", functional, pointwise), ("s", scalar, [2.0])]:
+            root = tmp_path / name
+            root.mkdir()
+            with pytest.raises(ValueError, match="does not rebuild the sample's weights"):
+                write_sample(sample, str(root / "data.csv"))
+            assert list(root.iterdir()) == []
+            write_sample(sample, str(root / "data.csv"), pointwise_w=w)
+            loaded = read_sample(str(root / "data.csv"))
+            assert loaded.weights.tobytes() == sample.weights.tobytes()
+
+
+class TestCsvReader:
+    def test_sidecar_errors_name_the_sidecar(self, tmp_path):
+        data, sidecar = tmp_path / "f.csv", tmp_path / "f.csv.grid.csv"
+        data.write_text("1,2\n3,4\n")
+        sidecar.write_text("grid,w\n\n0.5,1\n  \n2,1\n")
+        assert read_sample(str(data)).grid.tolist() == [0.5, 2.0]
+        sidecar.write_text("grid,w\n0,1\n1\n")
+        with pytest.raises(ValueError, match="the number of columns changed") as info:
+            read_sample(str(data))
+        assert str(info.value).startswith(f"{sidecar}: ")
+        sidecar.write_text("grid,w\n \n")
+        with pytest.raises(EmptyInputError, match="no data rows") as info:
+            read_sample(str(data))
+        assert str(info.value).startswith(f"{sidecar}: ")
+
+
+BLANKS = st.sampled_from(["", " ", "\t", " \t "])
+
+
+@st.composite
+def csv_cells(draw):
+    """A finite double as ``repr``, ``%.17g`` or ``%.5e`` writes it, or an
+    integer; maybe with a leading ``+``, and with blanks around it."""
+    if draw(st.booleans()):
+        text = str(draw(st.integers(-10**25, 10**25)))
+    else:
+        value = draw(st.floats(allow_nan=False, allow_infinity=False))
+        text = draw(st.sampled_from(["{!r}", "{:.17g}", "{:.5e}"])).format(value)
+    if not text.startswith("-") and draw(st.booleans()):
+        text = "+" + text
+    return draw(BLANKS) + text + draw(BLANKS)
+
+
+@st.composite
+def csv_text(draw, rows):
+    """The rows of cells as CSV lines, with blank and whitespace-only lines mixed in."""
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(BLANKS))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def cell_rows(d):
+    return st.lists(st.lists(csv_cells(), min_size=d, max_size=d), min_size=1, max_size=6)
+
+
+def read_csv_text(text):
+    """The path of a file holding ``text``, what ``read_sample`` returned or
+    raised as a ``ValueError``, and the warnings it gave."""
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "data.csv")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = read_sample(path)
+            except ValueError as exc:
+                result = exc
+    return path, result, caught
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.integers(1, 4))
+def test_reader_parses_each_cell_as_float_does(data, d):
+    rows = data.draw(cell_rows(d))
+    path, sample, caught = read_csv_text(data.draw(csv_text(rows)))
+    expected = np.array([[float(cell) for cell in row] for row in rows])
+    assert isinstance(sample, HilbertSample), sample
+    assert sample.values.tobytes() == expected.tobytes()
+    assert caught == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), fault=st.sampled_from(["ragged", "abc", "", "1_0"]))
+def test_reader_errors_start_with_the_path(data, fault):
+    # An empty cell in a one-column row would make a blank line, which is skipped.
+    d = data.draw(st.integers(2 if fault == "" else 1, 4))
+    rows = data.draw(cell_rows(d))
+    if fault == "ragged":
+        width = data.draw(st.integers(1, d + 2).filter(lambda w: w != d))
+        rows.insert(data.draw(st.integers(0, len(rows))), [data.draw(csv_cells())] * width)
+    else:
+        i, j = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, d - 1))
+        rows[i][j] = data.draw(BLANKS) + fault + data.draw(BLANKS)
+    path, error, caught = read_csv_text(data.draw(csv_text(rows)))
+    assert type(error) is ValueError and str(error).startswith(f"{path}: "), error
+    assert caught == []
+
+
+@settings(max_examples=50, deadline=None)
+@given(lines=st.lists(BLANKS, max_size=5), end=st.sampled_from(["", "\n"]))
+def test_reader_refuses_files_without_data_rows(lines, end):
+    path, error, caught = read_csv_text("\n".join(lines) + end)
+    assert isinstance(error, EmptyInputError) and str(error) == f"{path}: no data rows"
+    assert caught == []
