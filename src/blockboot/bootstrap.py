@@ -165,6 +165,46 @@ def bootstrap_mean_statistic(s: HilbertSample, star: HilbertSample,
     return GridFunction(s.grid, math.sqrt(plan.kp) * diff, s.weights)
 
 
+def _exponents(M: np.ndarray) -> np.ndarray:
+    """Per column, the ``e`` with ``2**(e - 1) <= max |column| < 2**e`` (0 for zeros)."""
+    return np.frexp(np.max(np.abs(M), axis=0))[1]
+
+
+def _split(M: np.ndarray, s: int) -> np.ndarray:
+    """``(M + sigma) - sigma`` with ``sigma = 0.75 * 2**(e + s)`` per column."""
+    sigma = np.ldexp(0.75, _exponents(M) + s)
+    return (M + sigma) - sigma
+
+
+def _count_product(M: np.ndarray):
+    """``rows -> rows @ M`` for integer rows with ``sum |row| <= 2k``, ``k = len(M)``.
+
+    Every bootstrap value is such a product: counts (sum ``k``) or counts
+    minus one (sum of absolute values at most ``2k``) times a float matrix.
+    ``M`` is split once, column by column, into two slices (Ozaki, Ogita,
+    Oishi and Rump, Numer. Algorithms 59, 2012): ``hi``, whose entries are
+    multiples of ``2**(e + s - 53)`` with ``2**(e - 1) <= max |column| <
+    2**e`` and ``s = ceil(log2 k) + 2``, and ``mid``, the same split of
+    ``M - hi``.  Every partial sum of such a row times a slice is a multiple
+    of the slice's step and at most ``2**52`` steps, hence exact, so BLAS may
+    sum in any order: no value depends on the BLAS kernel, the thread count, the
+    batch size or the row's position in the batch.  The two slice products
+    are added and rounded once.  The dropped third slice is below
+    ``2**(2s - 106)`` of the column's largest entry, so a value is within
+    ``sum |row| * 2**(2s - 106) * max |column|``, plus half an ulp, of the
+    exact product.  A column within ``2**s`` of the float range is scaled by
+    a power of two first and back on the result, which overflows only where
+    the product does.
+    """
+    M = np.asarray(M, dtype=np.float64)
+    s = (len(M) - 1).bit_length() + 2
+    scale = np.ldexp(1.0, np.minimum(0, 1023 - s - _exponents(M)))
+    M = M * scale
+    hi = _split(M, s)
+    mid = _split(M - hi, s)
+    return lambda rows: (rows @ hi + rows @ mid) / scale
+
+
 def _mean_deviations(s: HilbertSample, plan: BlockPlan):
     """Closure mapping ``(m, k)`` count rows to ``mean(star) - mean(first kp)``, as ``(m, d)``.
 
@@ -173,13 +213,8 @@ def _mean_deviations(s: HilbertSample, plan: BlockPlan):
     taken once per sample.
     """
     plan.require_sample(s)
-    means = s.values[: plan.kp].reshape(plan.k, plan.p, s.d).mean(axis=1)
-
-    def deviations(counts: np.ndarray) -> np.ndarray:
-        dev = counts.astype(np.float64) - 1.0
-        return np.einsum("bk,kd->bd", dev, means, optimize=False) / plan.k
-
-    return deviations
+    product = _count_product(s.values[: plan.kp].reshape(plan.k, plan.p, s.d).mean(axis=1))
+    return lambda counts: product(counts - 1.0) / plan.k
 
 
 def mean_evaluator(s: HilbertSample, plan: BlockPlan):
@@ -213,13 +248,12 @@ def lrv_evaluator(s: HilbertSample, plan: BlockPlan):
     ``(sum_a c_a ||S_a||^2 - ||sum_a c_a S_a||^2 / k) / kp``.
     """
     sums = _centered_block_sums(s, plan)
-    normsq = np.sum(sums * sums * s.weights, axis=1)
+    product = _count_product(np.column_stack([sums, np.sum(sums * sums * s.weights, axis=1)]))
 
     def evaluate(counts: np.ndarray) -> np.ndarray:
-        c = counts.astype(np.float64)
-        total = np.einsum("bk,kd->bd", c, sums, optimize=False)
-        spread = (np.einsum("bk,k->b", c, normsq, optimize=False)
-                  - np.sum(total * total * s.weights, axis=1) / plan.k)
+        both = product(counts.astype(np.float64))
+        total = both[:, :-1]
+        spread = both[:, -1] - np.sum(total * total * s.weights, axis=1) / plan.k
         return np.maximum(spread, 0.0) / plan.kp
 
     return evaluate

@@ -8,8 +8,10 @@ on read.  Scalar series need no sidecar.
 
 All floats are written with ``repr``, which round-trips every finite double
 bit-exactly.  Both files are read with :func:`numpy.loadtxt`, which gives each
-cell the double ``float`` gives it; blank lines are skipped, and a bad cell or
-row is a :class:`ValueError` of the path and numpy's message (row, column).
+cell the double ``float`` gives it; blank lines are skipped.  A cell that is
+not a number or is not finite, or a row whose column count differs from the
+first row's, is a :class:`ValueError` that starts ``<path>:<line>:``, with
+the 1-based line of the file.
 """
 
 from __future__ import annotations
@@ -26,14 +28,52 @@ def _fmt_row(row) -> str:
     return ",".join(repr(float(v)) for v in row)
 
 
-def _parse_rows(lines: list[str], path: str) -> np.ndarray:
+def _loads(text: str) -> np.ndarray:
+    return np.loadtxt(text, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+
+
+def _is_number(cell: str) -> bool:
+    if not cell.strip():
+        return False
+    try:
+        _loads([cell])
+    except ValueError:
+        return False
+    return True
+
+
+def _bad_row(lines: list[str], path: str, first: int) -> None:
+    """Raise the error of the first line :func:`_loads` refuses: a cell or a column count."""
+    width = None
+    for number, line in enumerate(lines, first):
+        if not line:
+            continue
+        cells = line.split(",")
+        width = width or len(cells)
+        if len(cells) != width:
+            raise ValueError(f"{path}:{number}: expected {width} columns as in the first row, "
+                             f"found {len(cells)}")
+        for column, cell in enumerate(cells, 1):
+            if not _is_number(cell):
+                raise ValueError(f"{path}:{number}: column {column} is not a number: "
+                                 f"{cell.strip()!r}")
+
+
+def _parse_rows(lines: list[str], path: str, first: int = 1) -> np.ndarray:
+    """The rows of ``lines``, line ``first`` onward of ``path``, as a finite float matrix."""
     lines = [line if line.strip() else "" for line in lines]  # numpy rejects "   "
     if not any(lines):
         raise EmptyInputError(f"{path}: no data rows")
     try:
-        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        table = _loads(lines)
     except ValueError as exc:
+        _bad_row(lines, path, first)
         raise ValueError(f"{path}: {exc}") from exc
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        number = [i for i, line in enumerate(lines, first) if line][np.argmin(finite)]
+        raise ValueError(f"{path}:{number}: non-finite value")
+    return table
 
 
 def write_sample(sample: HilbertSample, data_path: str, sidecar_path: str | None = None,
@@ -95,7 +135,7 @@ def read_sample(data_path: str, sidecar_path: str | None = None) -> HilbertSampl
         lines = fh.read().splitlines()
     if not lines or lines[0].strip().lower() != "grid,w":
         raise ValueError(f"{sidecar_path}: expected header 'grid,w'")
-    table = _parse_rows(lines[1:], sidecar_path)
+    table = _parse_rows(lines[1:], sidecar_path, first=2)
     if table.shape[1] != 2:
         raise ValueError(f"{sidecar_path}: expected two columns (grid, w)")
     grid, w = table[:, 0], table[:, 1]

@@ -11,7 +11,10 @@ whenever the kernel is positive definite.
 Kernel meshes are tiled by a byte budget: they are evaluated in fixed tiles
 of at most ``TILE_BYTES`` per temporary, and the partial sums are reduced in a
 fixed order, so results are deterministic for any thread count and memory
-stays bounded.  A kernel that declares a feature map (``O(n + B k)`` work)
+stays bounded.  Bootstrap values multiply count rows by the block-pair sums
+or the feature block sums on BLAS, through the exact slices of
+:func:`blockboot.bootstrap._count_product`, so they too are the same for any
+thread count and batch size.  A kernel that declares a feature map (``O(n + B k)`` work)
 or a max profile (one sort, ``O(n log n + kp k + B k^2)``) skips the meshes;
 see :class:`Kernel`.  Any other kernel's test walks the upper half of its
 symmetric mesh once (:func:`_mesh_sums`, about ``n^2 / 2`` evaluations) for
@@ -21,12 +24,13 @@ is a max-profile V-statistic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .bootstrap import BlockPlan, bootstrap_test, stream_draws
+from .bootstrap import BlockPlan, _count_product, bootstrap_test, stream_draws
 # Traced by perfbench/tracing.py.
 from .bootstrap import block_counts_per_replicate, empirical_quantile  # noqa: F401
 from .exceptions import (
@@ -40,7 +44,7 @@ from .hilbert import HilbertSample, trapezoid_weights
 from .rng import derive_stream
 
 #: Bytes of one float64 temporary in a tile of a kernel mesh.
-TILE_BYTES = 16 * 2**20
+TILE_BYTES = 2**20
 
 _SYMMETRY_PROBES = 32
 _SYMMETRY_SEED = 0x5EED
@@ -165,16 +169,35 @@ def _pair_sum(x: np.ndarray, y: np.ndarray, h: Kernel) -> float:
     return float(np.sum(partials))
 
 
+def _exact_products(a: np.ndarray, w) -> np.ndarray:
+    """``[a_hi * w, a_lo * w]``, whose sum is ``a * w`` exactly for integers ``|w| < 2**26``.
+
+    ``a_hi`` keeps the leading 26 bits of each ``a`` and ``a_lo = a - a_hi``
+    the other 27, so neither product rounds (Dekker's two-product with an
+    integer factor).
+    """
+    mantissa, exponent = np.frexp(a)
+    hi = np.ldexp(np.trunc(np.ldexp(mantissa, 26)), exponent - 26)
+    return np.concatenate([hi * w, (a - hi) * w])
+
+
 def _total_pair_sum(x: np.ndarray, h: Kernel) -> float:
     """``sum_{i,j} h(x_i, x_j)``, through the shape the kernel declares, if any."""
     if h.features is not None:
         total = np.sum(h.features(x), axis=0)
         return float(np.sum(total * total))
-    if h.max_profile is not None:  # the m-th smallest point is the max of 2m - 1 pairs
+    if h.max_profile is not None:
+        # The m-th smallest point is the max of 2m - 1 pairs, and f(x_i) + f(x_j)
+        # sums to n * sum(h(x, x) - g).  These terms of size ~n^2 cancel to a
+        # total ~n times smaller, so their exact products are summed exactly.
         xs = np.sort(x)
-        g = h.max_profile(xs)
-        pairs = np.sum(g * (2.0 * np.arange(1, xs.size + 1) - 1.0))
-        return float(pairs + xs.size * np.sum(h.eval(xs, xs) - g))
+        n = xs.size
+        terms = np.concatenate([_exact_products(h.max_profile(xs), np.arange(1.0 - n, n, 2.0)),
+                                _exact_products(h.eval(xs, xs), float(n))])
+        try:
+            return math.fsum(terms)
+        except (OverflowError, ValueError):  # inf - inf or a sum past the float range
+            return float(np.sum(terms))
     return _pair_sum(x, x, h)
 
 
@@ -397,11 +420,11 @@ def _leading(s: HilbertSample, plan: BlockPlan) -> np.ndarray:
 
 def _gram_evaluator(T: np.ndarray, kp: int):
     """Count rows to ``v^T T v / kp`` with ``v = counts - 1``, row by row."""
+    product = _count_product(T)
 
     def evaluator(counts: np.ndarray) -> np.ndarray:
-        v = counts.astype(np.float64) - 1.0
-        half = np.einsum("bi,ij->bj", v, T, optimize=False)
-        return np.sum(half * v, axis=1) / kp
+        v = counts - 1.0
+        return np.sum(product(v) * v, axis=1) / kp
 
     return evaluator
 
@@ -419,15 +442,18 @@ def vstat_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, h: Kernel):
     block-pair kernel sums.  With a feature map ``T = S S^T`` for the ``(k, r)``
     block sums ``S`` of ``Phi``, so each value is ``||v S||^2 / kp``; with a
     max profile the separable part cancels (``sum v = 0``), so ``T`` sums
-    ``g(max)``.  No reduction uses BLAS, so no value depends on the thread count.
+    ``g(max)``.  ``v T`` and ``v S`` run on BLAS through the exact slices of
+    :func:`blockboot.bootstrap._count_product`: their partial sums are exact,
+    so no value depends on the thread count or the batch, and each is within
+    ``2^(2s - 106)`` of the largest entry per unit of ``sum |v|``, plus half an
+    ulp, of the exact product, ``s = ceil(log2 k) + 2``.
     """
     lead, kp = _leading(s, plan), plan.kp
     if h.features is not None:
-        S = np.sum(h.features(lead).reshape(plan.k, plan.p, -1), axis=1)
+        product = _count_product(np.sum(h.features(lead).reshape(plan.k, plan.p, -1), axis=1))
 
         def evaluator(counts: np.ndarray) -> np.ndarray:
-            v = counts.astype(np.float64) - 1.0
-            proj = np.einsum("bk,kr->br", v, S, optimize=False)
+            proj = product(counts - 1.0)
             return np.sum(proj * proj, axis=1) / kp
 
         return evaluator

@@ -333,26 +333,41 @@ class TestInstalledEntryPoint:
         assert proc.returncode == 0
         assert "blockboot" in proc.stdout
 
+    # Every count evaluator: lrv, the block-mean deviations (mean-norm and
+    # two-sample), the CvM Gram, the feature map (product), the kernel mesh
+    # (gaussian) and the max profile (cvm:normal).
     @pytest.mark.parametrize("argv", [
         ["bootstrap", "--statistic", "lrv", "--raw-out", "raw.csv"],
+        ["bootstrap", "--statistic", "mean-norm"],
         ["cvm-test", "--dist", "normal:0,1.1547"],
-    ], ids=["lrv", "cvm-test"])
+        ["two-sample"],
+        ["vstat-test", "--kernel", "product"],
+        ["vstat-test", "--kernel", "gaussian:1.0"],
+        ["vstat-test", "--kernel", "cvm:normal"],
+    ], ids=["lrv", "mean-norm", "cvm-test", "two-sample", "product", "gaussian", "cvm"])
     def test_output_is_independent_of_thread_count(self, tmp_path, data_file, argv):
-        inputs = [data_file]
-        if argv[0] == "bootstrap":
-            config = tmp_path / "fun.ini"
-            config.write_text(FUNCTIONAL_INI)
-            functional = tmp_path / "fun.csv"
-            assert run_cli("generate", "--config", str(config), "--n", "200",
-                           "--out", str(functional)) == 0
-            inputs.append(str(functional))
+        def generate(name, ini):
+            (tmp_path / f"{name}.ini").write_text(ini)
+            assert run_cli("generate", "--config", str(tmp_path / f"{name}.ini"), "--n", "200",
+                           "--out", str(tmp_path / f"{name}.csv")) == 0
+            return str(tmp_path / f"{name}.csv")
+
+        inputs = [[data_file]]
+        if argv[0] in ("bootstrap", "two-sample"):
+            inputs.append([generate("fun", FUNCTIONAL_INI)])
+        if argv[0] == "two-sample":
+            inputs[0].append(generate("other", PROCESS_INI.replace("seed = 42", "seed = 44")))
+            inputs[1].append(generate("fun-other",
+                                      FUNCTIONAL_INI.replace("seed = 43", "seed = 45")))
         for data in inputs:
+            flags = (["--data", *data] if len(data) == 1
+                     else ["--data-x", data[0], "--data-y", data[1]])
             outputs = {}
             for threads in ("1", "4"):
                 out_dir = tmp_path / f"threads-{threads}"
                 out_dir.mkdir(exist_ok=True)
                 proc = subprocess.run(
-                    [sys.executable, "-m", "blockboot.cli", *argv, "--data", data,
+                    [sys.executable, "-m", "blockboot.cli", *argv, *flags,
                      "--block-length", "5", "--replicates", "300", "--seed", "9",
                      "--out", "out.json"],
                     capture_output=True, text=True, cwd=out_dir,

@@ -240,10 +240,15 @@ class TestCsvReader:
         data.write_text("1,2\n3,4\n")
         sidecar.write_text("grid,w\n\n0.5,1\n  \n2,1\n")
         assert read_sample(str(data)).grid.tolist() == [0.5, 2.0]
-        sidecar.write_text("grid,w\n0,1\n1\n")
-        with pytest.raises(ValueError, match="the number of columns changed") as info:
+        sidecar.write_text("grid,w\n0,1\n\n1\n")
+        with pytest.raises(ValueError, match="expected 2 columns as in the first row, found 1") \
+                as info:
             read_sample(str(data))
-        assert str(info.value).startswith(f"{sidecar}: ")
+        assert str(info.value).startswith(f"{sidecar}:4: ")
+        sidecar.write_text("grid,w\n0,1\n1,inf\n")
+        with pytest.raises(ValueError, match="non-finite value") as info:
+            read_sample(str(data))
+        assert str(info.value) == f"{sidecar}:3: non-finite value"
         sidecar.write_text("grid,w\n \n")
         with pytest.raises(EmptyInputError, match="no data rows") as info:
             read_sample(str(data))
@@ -308,7 +313,7 @@ def test_reader_parses_each_cell_as_float_does(data, d):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), fault=st.sampled_from(["ragged", "abc", "", "1_0"]))
+@given(data=st.data(), fault=st.sampled_from(["ragged", "abc", "", "1_0", "1e400", "nan"]))
 def test_reader_errors_start_with_the_path(data, fault):
     # An empty cell in a one-column row would make a blank line, which is skipped.
     d = data.draw(st.integers(2 if fault == "" else 1, 4))
@@ -319,8 +324,17 @@ def test_reader_errors_start_with_the_path(data, fault):
     else:
         i, j = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, d - 1))
         rows[i][j] = data.draw(BLANKS) + fault + data.draw(BLANKS)
-    path, error, caught = read_csv_text(data.draw(csv_text(rows)))
-    assert type(error) is ValueError and str(error).startswith(f"{path}: "), error
+    # Blank lines before every row, so that rows and lines are numbered apart.
+    text = data.draw(BLANKS) + "\n" + data.draw(csv_text(rows))
+    lines = [line.split(",") for line in text.splitlines()]
+    width = next(len(cells) for cells in lines if "".join(cells).strip())
+    # 1-based: the first row not as wide as the first one, or holding the fault.
+    line = 1 + next(n for n, cells in enumerate(lines) if "".join(cells).strip() and (
+        len(cells) != width or fault != "ragged" and fault in [c.strip() for c in cells]))
+    path, error, caught = read_csv_text(text)
+    assert type(error) is ValueError and str(error).startswith(f"{path}:{line}: "), error
+    if fault in ("1e400", "nan"):
+        assert str(error) == f"{path}:{line}: non-finite value"
     assert caught == []
 
 

@@ -7,6 +7,8 @@ blocks, so the two routes differ only in floating-point summation order.
 
 import itertools
 import math
+import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -381,3 +383,70 @@ def test_callable_errors_name_the_global_replicate(rows):
 
     with pytest.raises(ValueError, match=r"^replicate 20: boom$"):
         batched(rows, plan.k, lambda: bootstrap_distribution(s, plan, 30, fails_at_20, seed=0))
+
+
+@st.composite
+def count_product_cases(draw):
+    """A float matrix with ``k`` rows and columns of scale 2^-1000 to 2^1000 or zero,
+    and ``m`` integer rows: block counts (sum ``k``), or counts minus one."""
+    k, m = draw(st.integers(1, 600)), draw(st.integers(1, 5))
+    rng = derive_stream(draw(SEEDS))
+    scales = [0.0 if draw(st.booleans()) and draw(st.booleans())
+              else math.ldexp(1.0, draw(st.integers(-1000, 1000)))
+              for _ in range(draw(st.integers(1, 3)))]
+    M = rng.standard_normal((k, len(scales))) * scales
+    # Draws from the first ``span`` blocks only: counts from spread to piled on one block.
+    idx = rng.integers(0, draw(st.integers(1, k)), size=(m, k))
+    rows = counts_from_indices(idx, k) - (1.0 if draw(st.booleans()) else 0.0)
+    return M, rows
+
+
+def exact_products(rows, M):
+    """``rows @ M`` in rational arithmetic."""
+    exact_M = [[Fraction(float(x)) for x in col] for col in M.T]
+    return [[sum(Fraction(int(v)) * x for v, x in zip(row, col) if v) for col in exact_M]
+            for row in rows]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=count_product_cases(), cut=st.integers(1, 4))
+def test_count_product_slices_are_exact_for_any_batching(case, cut):
+    M, rows = case
+    k = len(M)
+    s = (k - 1).bit_length() + 2
+    hi = bootstrap._split(M, s)
+    mid = bootstrap._split(M - hi, s)
+    for piece in (hi, mid):
+        got = rows @ piece
+        assert [[Fraction(float(x)) for x in row] for row in got] == exact_products(rows, piece)
+    product = bootstrap._count_product(M)
+    whole = product(rows)
+    assert whole.tobytes() == (rows @ hi + rows @ mid).tobytes()
+    for chunks in ([rows[i : i + 1] for i in range(len(rows))], [rows[:cut], rows[cut:]]):
+        assert np.concatenate([product(c) for c in chunks if len(c)]).tobytes() == whole.tobytes()
+    # Within the dropped third slice, 2^(2s - 106) of a column's largest entry
+    # per unit of the row, plus the one rounding of the sum.
+    largest = np.max(np.abs(M), axis=0)
+    for row, values, exact in zip(rows, whole, exact_products(rows, M)):
+        for x, e, top in zip(values, exact, largest):
+            bound = (Fraction(float(np.sum(np.abs(row)))) * Fraction(top) / 2 ** (106 - 2 * s)
+                     + Fraction(abs(float(x))) / 2**53)
+            assert abs(Fraction(float(x)) - e) <= bound
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 166])
+def test_count_product_scales_columns_near_the_float_range(k):
+    rng = derive_stream(k, 4)
+    top = np.finfo(np.float64).max
+    M = top * rng.uniform(0.5, 1.0, (k, 3))
+    M[:, 1] = -M[:, 1]
+    M[:, 2] = 2.0**-1000  # a column far from the range keeps its own split
+    rows = np.eye(k)
+    if k > 1:  # counts minus one that cancel: one block twice, another never
+        rows = np.vstack([rows, np.eye(k)[0] - np.eye(k)[1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = bootstrap._count_product(M)(rows)
+    assert got[:k].tobytes() == M.tobytes()
+    if k > 1:
+        assert got[k].tobytes() == (M[0] - M[1]).tobytes()

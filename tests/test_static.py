@@ -60,3 +60,26 @@ def test_public_names_are_the_imported_names():
 def test_only_the_traced_imports_go_unread():
     traced = {(path.stem, name) for path in MODULES for name in unused_imports(path.read_text())[1]}
     assert traced == TRACED_IMPORTS
+
+
+def einsum_calls(source: str, allowed: set[str] = frozenset()) -> list[int]:
+    """Lines of the ``einsum`` calls outside the top-level functions in ``allowed``."""
+    return [call.lineno for node in ast.parse(source).body
+            if getattr(node, "name", None) not in allowed for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "einsum"]
+
+
+def test_checker_flags_an_einsum_call():
+    source = ("def f(v):\n    return np.einsum('i,i', v, v)\n"
+              "class C:\n    def g(self, v):\n        return v @ np.einsum('i', v)\n")
+    assert einsum_calls(source) == [2, 5]
+    assert einsum_calls(source, {"f"}) == [5]
+
+
+def test_count_products_go_through_one_helper():
+    # Count rows times a float matrix go through bootstrap._count_product,
+    # whose exact slices keep BLAS deterministic; the max-profile Gram's
+    # einsum is a different product.
+    assert einsum_calls((PACKAGE / "bootstrap.py").read_text()) == []
+    assert einsum_calls((PACKAGE / "vmstat.py").read_text(), {"_max_block_gram"}) == []

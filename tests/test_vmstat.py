@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +283,22 @@ class TestBootstrapVStatistic:
         np.testing.assert_allclose(T, expected, rtol=1e-12, atol=0)
         assert total == pytest.approx(math.fsum(mesh.ravel()), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2000, 5000])
+    def test_max_profile_total_matches_fsum_of_the_mesh(self, n):
+        from blockboot.vmstat import _total_pair_sum
+
+        # h = c - |x - y| / 2 = c - max(x, y) + (x + y) / 2 has max profile -x.
+        # On multiples of 2^-52 in [1/2, 1) with c a multiple of 2^-53 every
+        # evaluation is exact, so the fsum of the mesh is the exact total
+        # rounded once; c near E|x - y| / 2 cancels it ~sqrt(n) times.
+        c = math.ldexp(round(2.0**53 / 12), -53)
+        kern = Kernel("abs", eval=lambda x, y: c - np.abs(x - y) / 2, max_profile=lambda x: -x)
+        for seed in range(2):
+            x = np.ldexp(derive_stream(73, n, seed).integers(2**51, 2**52, n).astype(float), -52)
+            rows = (kern.eval(x[i : i + 64, None], x[None, :]).ravel().tolist()
+                    for i in range(0, n, 64))
+            assert _total_pair_sum(x, kern) == math.fsum(itertools.chain.from_iterable(rows))
+
     @pytest.mark.parametrize("token", ["product", "cvm:normal", "cvm:uniform:-3,3"])
     def test_vstat_statistics_of_declared_kernels_are_unchanged(self, token):
         from blockboot.vmstat import vstat_statistics
@@ -516,6 +534,34 @@ class TestSingleShotTests:
                             level=0.05)
         assert result["statistic"] == pytest.approx(1.0)
         assert np.all(np.isfinite(result["replicates"]))
+
+    # Kernel scales up to where the observed total overflows.  At 1.5 * 2^1017
+    # the Gram entries (~16 * scale) are within 2^s of the float range, s = 3
+    # for k = 2 blocks, while the total (~64 * scale) and v T stay finite.
+    @pytest.mark.parametrize("scale", [2.0**1000, 1.5 * 2.0**1017, 2.0**1019, 2.0**1023])
+    def test_gram_near_the_float_range_gives_finite_values_or_an_error(self, scale):
+        # Close points make the Gram nearly constant, so sum(v) = 0 keeps the
+        # exact products v T and the replicates small.
+        kern = Kernel("huge", eval=lambda x, y: scale * np.exp(-((x - y) ** 2)))
+        s = scalar_sample(1e-3 * derive_stream(68).standard_normal(8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = vstat_test(s, kern, BlockPlan(n=8, p=4), B=50, seed=5, level=0.05)
+            except NonFiniteStatisticError:
+                assert scale > 2.0**1018
+                return
+        assert np.all(np.isfinite(result["replicates"]))
+
+    def test_max_profile_total_past_the_float_range_is_an_error(self):
+        # The exact products overflow, which math.fsum raises on.
+        kern = Kernel("abs-huge", eval=lambda x, y: 1e307 * (0.25 - np.abs(x - y) / 2),
+                      max_profile=lambda x: -1e307 * x)
+        s = scalar_sample(derive_stream(74).uniform(0.5, 1.0, 100))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStatisticError, match="observed statistic is"):
+                vstat_test(s, kern, BlockPlan(n=100, p=5), B=20, seed=1, level=0.05)
 
     def test_vstat_test_report_shape(self):
         rng = derive_stream(65)
