@@ -1,4 +1,8 @@
-"""Reference distributions for goodness-of-fit nulls and report baselines."""
+"""Reference distributions for goodness-of-fit nulls and report baselines.
+
+Closed forms over ``scipy.special``, in the operations of ``scipy.stats`` 1.17:
+its CDFs and densities bit for bit, without loading ``scipy.stats``.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +10,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy import stats
+import numpy as np
+from scipy import special
 
 from .exceptions import ConfigError
+
+_quiet = np.errstate(over="ignore")  # a standardized value past the float range is +-inf
 
 
 @dataclass(frozen=True)
@@ -32,24 +39,22 @@ def normal(mu: float = 0.0, sigma: float = 1.0) -> Distribution:
         raise ConfigError(f"normal location must be finite, got {mu}")
     if not 0 < sigma < math.inf:
         raise ConfigError(f"normal scale must be positive and finite, got {sigma}")
-    frozen = stats.norm(loc=mu, scale=sigma)
     return Distribution(
         name=f"normal:{mu},{sigma}",
-        cdf=frozen.cdf,
+        cdf=_quiet(lambda x: special.ndtr((x - mu) / sigma)),
         support=(mu - 8.0 * sigma, mu + 8.0 * sigma),
-        weight_fn=frozen.pdf,
+        weight_fn=_quiet(lambda x: np.exp(-((x - mu) / sigma) ** 2 / 2.0) / np.sqrt(2 * np.pi) / sigma),
     )
 
 
 def uniform(a: float = 0.0, b: float = 1.0) -> Distribution:
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ConfigError(f"uniform endpoints must be finite, got {a}, {b}")
-    if not a < b:
-        raise ConfigError(f"uniform endpoints must satisfy a < b, got {a}, {b}")
-    frozen = stats.uniform(loc=a, scale=b - a)
-    return Distribution(
+    if not 0 < b - a < math.inf:
+        raise ConfigError(f"uniform endpoints must satisfy a < b with b - a finite, got {a}, {b}")
+    return Distribution(  # + 0.0 turns the -0.0 of x = -0.0, a = 0 into the law's 0.0
         name=f"uniform:{a},{b}",
-        cdf=frozen.cdf,
+        cdf=_quiet(lambda x: np.clip((x - a) / (b - a), 0.0, 1.0) + 0.0),
         support=(a, b),
         weight_fn=None,
     )
@@ -60,12 +65,16 @@ def student_t(df: float, scale: float = 1.0) -> Distribution:
         raise ConfigError(f"student-t df must be positive, got {df}")
     if not 0 < scale < math.inf:
         raise ConfigError(f"student-t scale must be positive and finite, got {scale}")
-    frozen = stats.t(df, loc=0.0, scale=scale)
+    if df == math.inf:  # the normal law; the finite-df constant below would warn
+        density = normal(0.0, scale).weight_fn
+    else:
+        c = np.log(special.poch(0.5 * df, 0.5)) - 0.5 * (np.log(df) + np.log(np.pi))
+        density = _quiet(lambda x: np.exp(c - (df + 1) / 2 * np.log1p((x / scale) ** 2 / df)) / scale)
     return Distribution(
         name=f"t:{df},{scale}",
-        cdf=frozen.cdf,
+        cdf=_quiet(lambda x: special.stdtr(df, x / scale)),
         support=(-16.0 * scale, 16.0 * scale),
-        weight_fn=frozen.pdf,
+        weight_fn=density,
     )
 
 
@@ -85,13 +94,10 @@ def distribution_from_token(token: str) -> Distribution:
             values = [float(v) for v in args.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad distribution parameters in {token!r}") from exc
+    law = {"normal": normal, "uniform": uniform, "t": student_t}.get(name)
+    if law is None:
+        raise ConfigError(f"unknown distribution {token!r}")
     try:
-        if name == "normal":
-            return normal(*values)
-        if name == "uniform":
-            return uniform(*values)
-        if name == "t":
-            return student_t(*values)
+        return law(*values)
     except TypeError as exc:
         raise ConfigError(f"wrong number of parameters in {token!r}") from exc
-    raise ConfigError(f"unknown distribution {token!r}")

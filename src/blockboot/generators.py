@@ -47,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .exceptions import ConfigError
 from .hilbert import HilbertSample, trapezoid_weights
@@ -133,8 +132,11 @@ def _innovations(cfg: ProcessConfig, rng: np.random.Generator, shape) -> np.ndar
 
 
 def _ar1_filter(phi: float, noise: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    # y[i] = noise[i] + phi * y[i-1], seeded with y[-1] = x0
-    out, _ = lfilter([1.0], [1.0, -phi], noise, axis=0, zi=(phi * x0)[None, ...])
+    """``y[i] = noise[i] + phi * y[i-1]`` along axis 0 from ``y[-1] = x0``: the bits of
+    ``scipy.signal.lfilter``, written out so that scipy.signal is not loaded."""
+    out = np.empty_like(noise)
+    for i, row in enumerate(noise):
+        x0 = out[i] = row + phi * x0
     return out
 
 

@@ -21,7 +21,7 @@ import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import stats as _sstats
+from scipy import special
 
 from . import __version__
 from .bootstrap import (
@@ -473,9 +473,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     reference_cdf = None
     reference_name = None
     if cfg.family == "vstat" and cfg.kernel_token == "product" and cfg.process.kind == "iid":
-        # n V_n = (sqrt(n) mean)^2 for the product kernel, a scaled chi-square
-        # with one degree of freedom; unit scale for the standardized draws.
-        reference_cdf = _sstats.chi2(df=1).cdf
+        # n V_n = (sqrt(n) mean)^2 for the product kernel, a chi-square with one degree
+        # of freedom for the standardized draws (chdtr is NaN below 0, where the CDF is 0).
+        reference_cdf = lambda x: special.chdtr(1, np.maximum(x, 0.0))  # noqa: E731
         reference_name = "chi2:1"
 
     aggregates = aggregates_from_records(cfg.family, records, pooled_boot,

@@ -204,6 +204,7 @@ def norm(f: GridFunction) -> float:
     return float(np.sqrt(max(np.sum(f.values * f.values * f.weights), 0.0)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sample_mean(s: HilbertSample) -> GridFunction:
     """Pointwise average of the observations."""
     return GridFunction(s.grid, s.values.mean(axis=0), s.weights)

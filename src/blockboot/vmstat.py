@@ -201,6 +201,7 @@ def _total_pair_sum(x: np.ndarray, h: Kernel) -> float:
     return _pair_sum(x, x, h)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def v_statistic(s: HilbertSample, h: Kernel) -> float:
     """``(1/n^2) * sum_{i,j} h(X_i, X_j)`` over a scalar sample."""
     x = s.scalars()
@@ -208,6 +209,7 @@ def v_statistic(s: HilbertSample, h: Kernel) -> float:
     return _total_pair_sum(x, h) / (n * n)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def u_statistic(s: HilbertSample, h: Kernel) -> float:
     """Off-diagonal average ``(1/(n(n-1))) * sum_{i != j} h(X_i, X_j)``."""
     x = s.scalars()
@@ -219,6 +221,7 @@ def u_statistic(s: HilbertSample, h: Kernel) -> float:
     return (total - diagonal) / (n * (n - 1))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def bootstrap_v_statistic(s: HilbertSample, star: HilbertSample, h: Kernel) -> float:
     """Three-term bootstrap V-statistic of a resample against its sample.
 
@@ -231,11 +234,8 @@ def bootstrap_v_statistic(s: HilbertSample, star: HilbertSample, h: Kernel) -> f
         raise PlanMismatchError(
             f"sample (n={x.size}) and bootstrap sample (n={y.size}) must have equal length"
         )
-    m = x.size
-    t_star = _pair_sum(y, y, h)
-    t_cross = _pair_sum(y, x, h)
-    t_base = _pair_sum(x, x, h)
-    return (t_star - 2.0 * t_cross + t_base) / (m * m)
+    t_star, t_cross, t_base = _pair_sum(y, y, h), _pair_sum(y, x, h), _pair_sum(x, x, h)
+    return (t_star - 2.0 * t_cross + t_base) / (x.size * x.size)
 
 
 def empirical_cdf(s: HilbertSample, t):
@@ -337,6 +337,7 @@ def bootstrap_cvm_statistic(s: HilbertSample, star: HilbertSample, spec: CvmSpec
     return float(s.n * np.sum(diff * diff * spec.weights))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def degeneracy_diagnostic(s: HilbertSample, h: Kernel, probes) -> float:
     """Largest absolute value of ``mean_i h(x, X_i)`` over the probe points.
 

@@ -33,9 +33,16 @@ from blockboot.exceptions import (
     UnsupportedStatisticError,
 )
 from blockboot.generators import ProcessConfig, generate_real
-from blockboot.hilbert import GridFunction
+from blockboot.hilbert import GridFunction, sample_mean
 from blockboot.rng import derive_stream
-from blockboot.vmstat import product_kernel, vstat_test
+from blockboot.vmstat import (
+    bootstrap_v_statistic,
+    degeneracy_diagnostic,
+    product_kernel,
+    u_statistic,
+    v_statistic,
+    vstat_test,
+)
 from oracles import (
     all_block_selections,
     ar1_long_run_variance,
@@ -302,6 +309,29 @@ class TestBootstrapDistribution:
                 warnings.simplefilter("always")
                 with pytest.raises(NonFiniteStatisticError, match=message):
                     call()
+            assert [str(w.message) for w in caught] == []
+
+    def test_statistics_of_data_near_the_float_range_are_silent(self):
+        # The same data through the plain statistics: their values and errors
+        # are what numpy's overflow gives, with no warning printed.
+        s = scalar_sample([1e308, 1e308, -1e308, -1e308, 1.0, 2.0])
+        h = product_kernel()
+        calls = [
+            (lambda: v_statistic(s, h), math.inf),
+            (lambda: u_statistic(s, h), math.nan),
+            (lambda: bootstrap_v_statistic(s, s, h), math.nan),
+            (lambda: degeneracy_diagnostic(s, h, [1e308, 1.0]),
+             (NonFiniteStatisticError, "degeneracy diagnostic is nan")),
+            (lambda: sample_mean(s), (ValueError, "values must be finite")),
+        ]
+        for call, expected in calls:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if isinstance(expected, tuple):
+                    with pytest.raises(expected[0], match=expected[1]):
+                        call()
+                else:
+                    assert call() == pytest.approx(expected, nan_ok=True)
             assert [str(w.message) for w in caught] == []
 
     def test_counts_helper_matches_streams(self):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from blockboot import ProcessConfig, generate_functional, generate_real
 from blockboot.exceptions import ConfigError
-from blockboot.generators import _doubling_orbit, _noise_basis
+from blockboot.generators import _ar1_filter, _doubling_orbit, _noise_basis
 from blockboot.rng import derive_stream
 from oracles import ar1_long_run_variance
 
@@ -31,6 +34,18 @@ class TestConfigValidation:
             generate_real(ProcessConfig(kind="ar1-functional"), 10)
         with pytest.raises(ConfigError):
             generate_functional(ProcessConfig(kind="iid"), 10, GRID)
+
+
+@settings(max_examples=200, deadline=None)
+@given(phi=st.floats(-0.999, 0.999), n=st.integers(1, 300), d=st.one_of(st.none(), st.integers(1, 12)),
+       seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300]))
+def test_ar1_filter_equals_lfilter_bitwise(phi, n, d, seed, scale):
+    rng = np.random.default_rng(seed)
+    shape = (n,) if d is None else (n, d)
+    noise = scale * rng.standard_normal(shape)
+    x0 = scale * (np.float64(rng.standard_normal()) if d is None else rng.standard_normal(d))
+    expected, _ = lfilter([1.0], [1.0, -phi], noise, axis=0, zi=(phi * x0)[None, ...])
+    assert _ar1_filter(phi, noise, x0).tobytes() == expected.tobytes()
 
 
 class TestRealGenerators:

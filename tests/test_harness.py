@@ -1,7 +1,10 @@
 import json
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import blockboot.harness as harness
 from blockboot.dists import normal, student_t
@@ -308,6 +311,24 @@ class TestVstatExperiment:
         report = run_experiment(cfg)
         assert report.aggregates["reference"] == "chi2:1"
         assert report.aggregates["ks_bootstrap_vs_reference"] < 0.10
+
+    def test_chi2_reference_is_the_scipy_law_and_zero_below_zero(self):
+        cfg = ExperimentConfig(statistic="vstat:product", process=ProcessConfig(kind="iid"),
+                               n=40, replicates=20, replications=2, level=0.05, master_seed=105)
+        with mock.patch.object(harness, "aggregates_from_records",
+                               wraps=harness.aggregates_from_records) as aggregate:
+            run_experiment(cfg)
+        family, _, _, cdf, name = aggregate.call_args.args
+        assert (family, name) == ("vstat", "chi2:1")
+        x = np.concatenate([[-1.0, -0.0, 0.0, 5e-324, np.inf, -np.inf, np.nan, 1e308],
+                            np.geomspace(1e-12, 1e3, 400)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = cdf(x)
+        assert values[0] == 0.0 and values[1] == 0.0
+        # Bitwise equal on scipy 1.17.1; a tolerance leaves room for other scipy builds.
+        np.testing.assert_allclose(values, stats.chi2(df=1).cdf(x), rtol=4 * np.finfo(float).eps,
+                                   atol=0.0)
 
     def test_single_block_flags_degenerate(self):
         cfg = ExperimentConfig(

@@ -2,10 +2,13 @@
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import blockboot
+from child_env import child_env
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "blockboot"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -83,3 +86,37 @@ def test_count_products_go_through_one_helper():
     # einsum is a different product.
     assert einsum_calls((PACKAGE / "bootstrap.py").read_text()) == []
     assert einsum_calls((PACKAGE / "vmstat.py").read_text(), {"_max_block_gram"}) == []
+
+
+def scipy_imports(source: str) -> list[str]:
+    """Each scipy import of ``source``, written as ``import x`` or ``from x import y``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"import {alias.name}" for alias in node.names if alias.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            found += [f"from {node.module} import {alias.name}" for alias in node.names]
+    return found
+
+
+def test_checker_lists_scipy_imports():
+    source = ("import scipy.stats\nimport numpy, scipy as sp\nfrom scipy import special, signal\n"
+              "def f():\n    from scipy.signal import lfilter\n")
+    assert scipy_imports(source) == ["import scipy.stats", "import scipy", "from scipy import special",
+                                     "from scipy import signal", "from scipy.signal import lfilter"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
+def test_scipy_special_is_the_only_scipy_import(path):
+    # The null laws and the AR(1) recursion are written out over scipy.special;
+    # scipy.stats and scipy.signal load ~460 modules the package does not need.
+    assert set(scipy_imports(path.read_text())) <= {"from scipy import special"}
+
+
+def test_importing_the_entry_points_loads_no_scipy_stats_or_signal():
+    code = ("import sys, blockboot.cli, blockboot.harness\n"
+            "print(*sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.signal'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
