@@ -94,10 +94,13 @@ def distribution_from_token(token: str) -> Distribution:
             values = [float(v) for v in args.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad distribution parameters in {token!r}") from exc
-    law = {"normal": normal, "uniform": uniform, "t": student_t}.get(name)
-    if law is None:
-        raise ConfigError(f"unknown distribution {token!r}")
     try:
-        return law(*values)
+        if name == "normal":
+            return normal(*values)
+        if name == "uniform":
+            return uniform(*values)
+        if name == "t":
+            return student_t(*values)
     except TypeError as exc:
         raise ConfigError(f"wrong number of parameters in {token!r}") from exc
+    raise ConfigError(f"unknown distribution {token!r}")

@@ -234,8 +234,11 @@ def bootstrap_v_statistic(s: HilbertSample, star: HilbertSample, h: Kernel) -> f
         raise PlanMismatchError(
             f"sample (n={x.size}) and bootstrap sample (n={y.size}) must have equal length"
         )
-    t_star, t_cross, t_base = _pair_sum(y, y, h), _pair_sum(y, x, h), _pair_sum(x, x, h)
-    return (t_star - 2.0 * t_cross + t_base) / (x.size * x.size)
+    m = x.size
+    t_star = _pair_sum(y, y, h)
+    t_cross = _pair_sum(y, x, h)
+    t_base = _pair_sum(x, x, h)
+    return (t_star - 2.0 * t_cross + t_base) / (m * m)
 
 
 def empirical_cdf(s: HilbertSample, t):

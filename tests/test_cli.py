@@ -217,6 +217,7 @@ class TestNonFiniteParameters:
         ("cvm-test", "--dist", "normal:inf,1", "normal location"),
         ("cvm-test", "--dist", "t:5,inf", "student-t scale"),
         ("cvm-test", "--dist", "uniform:0,inf", "uniform endpoints"),
+        ("cvm-test", "--dist", "uniform:-1e308,1e308", "uniform endpoints"),
     ])
     def test_exits_2_with_one_error_line(self, tmp_path, data_file, command, flag, token,
                                          name, capsys):

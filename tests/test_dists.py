@@ -102,7 +102,6 @@ def test_uniform_cdf_below_the_support_is_plus_zero():
     ("gamma:2", "unknown distribution"),
     ("gamma:x", "bad distribution parameters"),
     ("uniform:1,0", "a < b"),
-    ("uniform:-1e308,1e308", "b - a finite"),
 ])
 def test_bad_tokens_are_config_errors(token, message):
     with pytest.raises(ConfigError, match=message):
