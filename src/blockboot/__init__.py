@@ -6,9 +6,7 @@ from .bootstrap import (
     BlockPlan,
     block_length_schedule,
     bootstrap_distribution,
-    bootstrap_mean_statistic,
     bootstrap_replicate,
-    draw_bootstrap_sample,
     empirical_quantile,
     long_run_variance_estimate,
     two_sample_test,
@@ -27,8 +25,6 @@ from .rng import derive_stream
 from .vmstat import (
     CvmSpec,
     Kernel,
-    bootstrap_cvm_statistic,
-    bootstrap_v_statistic,
     cvm_kernel,
     cvm_statistic,
     cvm_test,
@@ -37,7 +33,6 @@ from .vmstat import (
     gaussian_kernel,
     make_cvm_spec,
     product_kernel,
-    u_statistic,
     v_statistic,
     vstat_test,
 )
@@ -51,17 +46,13 @@ __all__ = [
     "Kernel",
     "ProcessConfig",
     "block_length_schedule",
-    "bootstrap_cvm_statistic",
     "bootstrap_distribution",
-    "bootstrap_mean_statistic",
     "bootstrap_replicate",
-    "bootstrap_v_statistic",
     "cvm_kernel",
     "cvm_statistic",
     "cvm_test",
     "degeneracy_diagnostic",
     "derive_stream",
-    "draw_bootstrap_sample",
     "empirical_cdf",
     "empirical_quantile",
     "gaussian_kernel",
@@ -76,7 +67,6 @@ __all__ = [
     "sample_mean",
     "trapezoid_weights",
     "two_sample_test",
-    "u_statistic",
     "v_statistic",
     "vstat_test",
     "write_sample",

@@ -141,30 +141,6 @@ def _resample(s: HilbertSample, plan: BlockPlan, idx: np.ndarray) -> HilbertSamp
     return HilbertSample(s.grid, s.weights, s.values[rows])
 
 
-def draw_bootstrap_sample(s: HilbertSample, plan: BlockPlan,
-                          rng: np.random.Generator) -> HilbertSample:
-    """Concatenate ``k`` blocks drawn uniformly with replacement.
-
-    The output has length ``k*p``; its ``i``-th block is a bit-identical copy
-    of one contiguous block of ``s``.  Deterministic given the generator
-    state.
-    """
-    plan.require_sample(s)
-    return _resample(s, plan, _draw_block_indices(plan, rng))
-
-
-def bootstrap_mean_statistic(s: HilbertSample, star: HilbertSample,
-                             plan: BlockPlan) -> GridFunction:
-    """``sqrt(kp) * (mean(star) - mean of the first kp observations of s)``."""
-    plan.require_sample(s)
-    if star.n != plan.kp:
-        raise PlanMismatchError(f"bootstrap sample must have length kp={plan.kp}, got {star.n}")
-    if not same_space(s, star):
-        raise PlanMismatchError("bootstrap sample lives on a different grid or weights")
-    diff = star.values.mean(axis=0) - s.values[: plan.kp].mean(axis=0)
-    return GridFunction(s.grid, math.sqrt(plan.kp) * diff, s.weights)
-
-
 def _exponents(M: np.ndarray) -> np.ndarray:
     """Per column, the ``e`` with ``2**(e - 1) <= max |column| < 2**e`` (0 for zeros)."""
     return np.frexp(np.max(np.abs(M), axis=0))[1]
@@ -220,8 +196,9 @@ def _mean_deviations(s: HilbertSample, plan: BlockPlan):
 def mean_evaluator(s: HilbertSample, plan: BlockPlan):
     """``(m, d)`` rows of ``sqrt(kp) * (mean(star) - mean of the first kp observations)``.
 
-    Each row is :func:`bootstrap_mean_statistic` on the assembled sample; for
-    scalar samples, column 0 is the signed statistic.
+    In exact arithmetic each row is ``sqrt(kp) (mean(X*_1..X*_kp) -
+    mean(X_1..X_kp))`` on the sample assembled from the row's draw; for scalar
+    samples, column 0 is the signed statistic.
     """
     deviations = _mean_deviations(s, plan)
     root_kp = math.sqrt(plan.kp)
@@ -350,9 +327,9 @@ def counts_from_indices(idx: np.ndarray, k: int) -> np.ndarray:
 def block_counts_per_replicate(plan: BlockPlan, seed: int, B: int, *tail: int) -> np.ndarray:
     """Block-draw counts for ``B`` replicates with per-replicate streams.
 
-    Row ``r`` counts the ``k`` uniform block draws of
-    ``derive_stream(seed, r, *tail)``, exactly the draw
-    :func:`draw_bootstrap_sample` would make from the same stream.
+    Row ``r`` counts the ``k`` uniform block draws ``rng.integers(0, k, size=k)``
+    of ``rng = derive_stream(seed, r, *tail)``: how often each block occurs in
+    the sample ``X*_1..X*_kp`` assembled from the same stream.
     """
     return replicate_values(B, lambda counts: counts, stream_draws(plan, B, seed, *tail))
 

@@ -1,8 +1,9 @@
 """Structured-text (INI) configuration files, schema version 1.
 
 A process file has a ``[process]`` section (plus ``[grid]`` for functional
-kinds); an experiment file has ``[experiment]``, ``[process]`` and optional
-``[process_y]``/``[grid]`` sections.  Each section is read through one key
+kinds, and only for them); an experiment file has ``[experiment]``,
+``[process]`` and optional ``[process_y]``/``[grid]`` sections.  Each
+section is read through one key
 table mapping every accepted key to its converter: unknown keys are rejected
 so typos cannot silently fall back to defaults, and an absent key takes the
 default of :class:`ProcessConfig`, :class:`GridSpec` or
@@ -128,6 +129,8 @@ def load_process_config(path: str) -> tuple[ProcessConfig, GridSpec | None]:
     grid = _grid(parser)
     if process.is_functional and grid is None:
         raise ConfigError(f"functional kind {process.kind!r} needs a [grid] section")
+    if grid is not None and not process.is_functional:
+        raise ConfigError(f"[grid] only applies to functional kinds, not {process.kind!r}")
     _check_sections(parser, {"process", "grid"})
     return process, grid
 

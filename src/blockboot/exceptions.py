@@ -17,10 +17,6 @@ class PlanMismatchError(BlockbootError, ValueError):
     """A block plan is inconsistent with the sample it is applied to."""
 
 
-class InsufficientSampleError(BlockbootError, ValueError):
-    """The sample is too short for the requested statistic."""
-
-
 class UnsupportedStatisticError(BlockbootError, TypeError):
     """The requested reduction does not apply to this kind of replicates."""
 

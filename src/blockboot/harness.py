@@ -127,6 +127,8 @@ class ExperimentConfig:
             raise ConfigError(f"{self.family} experiments need a scalar process")
         if self.process.is_functional and self.grid is None:
             raise ConfigError("functional processes need a [grid] section")
+        if self.grid is not None and not self.process.is_functional:
+            raise ConfigError("[grid] only applies to functional processes")
         if self.process_y is not None and self.family != "two-sample-mean":
             raise ConfigError("process_y only applies to two-sample-mean")
         if self.process_y is not None and self.process_y.is_functional != self.process.is_functional:
@@ -135,6 +137,8 @@ class ExperimentConfig:
             raise ConfigError(f"mean_shift must be finite, got {self.mean_shift}")
         if self.mean_shift != 0.0 and self.family != "two-sample-mean":
             raise ConfigError("mean_shift only applies to two-sample-mean")
+        if self.null != "auto" and self.family != "cvm":
+            raise ConfigError("null only applies to cvm")
         if self.family == "vstat":
             token = self.kernel_token
             if token.split(":")[0] not in _DEGENERATE_KERNEL_FAMILIES:

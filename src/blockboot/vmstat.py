@@ -1,4 +1,4 @@
-"""V- and U-statistics, the Cramer-von Mises statistic, and their bootstraps.
+"""V-statistics, the Cramer-von Mises statistic, and their bootstraps.
 
 The quadratic double sums are evaluated directly; the bootstrap version of a
 V-statistic uses the three-term form
@@ -33,13 +33,7 @@ import numpy as np
 from .bootstrap import BlockPlan, _count_product, bootstrap_test, stream_draws
 # Traced by perfbench/tracing.py.
 from .bootstrap import block_counts_per_replicate, empirical_quantile  # noqa: F401
-from .exceptions import (
-    ConfigError,
-    CvmSpecError,
-    InsufficientSampleError,
-    NonFiniteStatisticError,
-    PlanMismatchError,
-)
+from .exceptions import ConfigError, CvmSpecError, NonFiniteStatisticError, PlanMismatchError
 from .hilbert import HilbertSample, trapezoid_weights
 from .rng import derive_stream
 
@@ -56,7 +50,7 @@ class Kernel:
 
     ``eval`` must accept broadcastable numpy arrays.  Symmetry and each declared
     shape are checked on fixed random probe pairs at 1e-12 relative, else
-    :class:`ConfigError`.  V, U and bootstrap values take the first declared path:
+    :class:`ConfigError`.  V-statistics and bootstrap values take the first declared path:
 
     * ``features`` maps ``n`` points to an ``(n, r)`` matrix ``Phi`` with
       ``h(x, y) = sum_l Phi_l(x) Phi_l(y)``: ``O(n + B k)`` work.
@@ -161,10 +155,10 @@ def _tile_size(line: int) -> int:
     return max(1, TILE_BYTES // (8 * max(1, line)))
 
 
-def _pair_sum(x: np.ndarray, y: np.ndarray, h: Kernel) -> float:
-    """Sum of ``h`` over the full ``len(x) x len(y)`` mesh, in row tiles."""
-    rows = _tile_size(y.size)
-    partials = [np.sum(h.eval(x[i : i + rows, None], y[None, :]))
+def _pair_sum(x: np.ndarray, h: Kernel) -> float:
+    """Sum of ``h`` over the full ``len(x) x len(x)`` mesh, in row tiles."""
+    rows = _tile_size(x.size)
+    partials = [np.sum(h.eval(x[i : i + rows, None], x[None, :]))
                 for i in range(0, x.size, rows)]
     return float(np.sum(partials))
 
@@ -198,7 +192,7 @@ def _total_pair_sum(x: np.ndarray, h: Kernel) -> float:
             return math.fsum(terms)
         except (OverflowError, ValueError):  # inf - inf or a sum past the float range
             return float(np.sum(terms))
-    return _pair_sum(x, x, h)
+    return _pair_sum(x, h)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -207,38 +201,6 @@ def v_statistic(s: HilbertSample, h: Kernel) -> float:
     x = s.scalars()
     n = x.size
     return _total_pair_sum(x, h) / (n * n)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def u_statistic(s: HilbertSample, h: Kernel) -> float:
-    """Off-diagonal average ``(1/(n(n-1))) * sum_{i != j} h(X_i, X_j)``."""
-    x = s.scalars()
-    n = x.size
-    if n < 2:
-        raise InsufficientSampleError("a U-statistic needs n >= 2")
-    total = _total_pair_sum(x, h)
-    diagonal = float(np.sum(h.eval(x, x)))
-    return (total - diagonal) / (n * (n - 1))
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def bootstrap_v_statistic(s: HilbertSample, star: HilbertSample, h: Kernel) -> float:
-    """Three-term bootstrap V-statistic of a resample against its sample.
-
-    Both inputs must have the common length ``kp``.  For positive definite
-    kernels the value is a squared norm and hence nonnegative up to rounding.
-    """
-    x = s.scalars()
-    y = star.scalars()
-    if x.size != y.size:
-        raise PlanMismatchError(
-            f"sample (n={x.size}) and bootstrap sample (n={y.size}) must have equal length"
-        )
-    m = x.size
-    t_star = _pair_sum(y, y, h)
-    t_cross = _pair_sum(y, x, h)
-    t_base = _pair_sum(x, x, h)
-    return (t_star - 2.0 * t_cross + t_base) / (m * m)
 
 
 def empirical_cdf(s: HilbertSample, t):
@@ -325,21 +287,6 @@ def cvm_statistic(s: HilbertSample, spec: CvmSpec) -> float:
     return float(np.sum(diff * diff * spec.weights))
 
 
-def bootstrap_cvm_statistic(s: HilbertSample, star: HilbertSample, spec: CvmSpec) -> float:
-    """``kp`` times the weighted squared distance of the two empirical CDFs.
-
-    ``s`` must hold the first ``kp`` observations and ``star`` a bootstrap
-    sample of the same length; the scaling by ``kp`` applies to the integral
-    of the squared difference.
-    """
-    if s.n != star.n:
-        raise PlanMismatchError(
-            f"sample (n={s.n}) and bootstrap sample (n={star.n}) must have equal length"
-        )
-    diff = empirical_cdf(star, spec.grid) - empirical_cdf(s, spec.grid)
-    return float(s.n * np.sum(diff * diff * spec.weights))
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def degeneracy_diagnostic(s: HilbertSample, h: Kernel, probes) -> float:
     """Largest absolute value of ``mean_i h(x, X_i)`` over the probe points.
@@ -370,12 +317,14 @@ def _mesh_sums(x: np.ndarray, plan: BlockPlan, h: Kernel) -> tuple[np.ndarray, f
     included.  Row tiles of whole blocks ``a0 <= a < a1`` (at most
     ``TILE_BYTES`` per temporary) evaluate ``h`` against the points from block
     ``a0`` onward only, so ``h(x_i, x_j)`` is read for ``j >= i`` and in the
-    tiles' diagonal squares: about ``n^2 / 2`` evaluations.  The upper block
-    triangle ``U`` gives ``T = triu(U) + triu(U, 1)^T`` and the tile columns
-    past ``kp`` the tail cross sum, so ``total = sum T + 2 cross + tail mesh``.
-    Taking the lower triangle from the upper one is exact for a symmetric
-    ``h``, which :class:`Kernel` checks to 1e-12 on its probe pairs, and a
-    bootstrap value ``v^T T v`` depends only on the symmetric part of ``T``.
+    tiles' diagonal squares: about ``n^2 / 2`` evaluations.  A block whose
+    rows do not fit in one tile is split into tiles of whole rows, whose sums
+    are added.  The upper block triangle ``U`` gives ``T = triu(U) +
+    triu(U, 1)^T`` and the tile columns past ``kp`` the tail cross sum, so
+    ``total = sum T + 2 cross + tail mesh``.  Taking the lower triangle from
+    the upper one is exact for a symmetric ``h``, which :class:`Kernel`
+    checks to 1e-12 on its probe pairs, and a bootstrap value ``v^T T v``
+    depends only on the symmetric part of ``T``.
     """
     k, p, kp = plan.k, plan.p, plan.kp
     blocks = _tile_size(p * x.size)
@@ -383,13 +332,20 @@ def _mesh_sums(x: np.ndarray, plan: BlockPlan, h: Kernel) -> tuple[np.ndarray, f
     cross = []
     for a0 in range(0, k, blocks):
         r0, a1 = a0 * p, min(a0 + blocks, k)
-        mesh = h.eval(x[r0 : a1 * p, None], x[None, r0:])
-        # Sum each block's rows, then each block's columns.
-        rows = mesh[:, : kp - r0].reshape(a1 - a0, p, -1).sum(axis=1)
+        step = min(p, _tile_size(x.size - r0))
+        # All rows of the tile's blocks at once, or ``step`` rows of its one block at a time.
+        height, groups = ((a1 - a0) * p, a1 - a0) if step == p else (step, 1)
+        rows = None
+        for i in range(r0, a1 * p, height):
+            mesh = h.eval(x[i : min(i + height, a1 * p), None], x[None, r0:])
+            # Sum each block's rows, within the tile and then over its row tiles.
+            part = mesh[:, : kp - r0].reshape(groups, -1, kp - r0).sum(axis=1)
+            rows = part if rows is None else rows + part
+            cross.append(np.sum(mesh[:, kp - r0 :]))
+        # Then each block's columns.
         U[a0:a1, a0:] = rows.reshape(a1 - a0, k - a0, p).sum(axis=2)
-        cross.append(np.sum(mesh[:, kp - r0 :]))
     T = np.triu(U) + np.triu(U, 1).T
-    return T, float(np.sum(T) + 2.0 * np.sum(cross) + _pair_sum(x[kp:], x[kp:], h))
+    return T, float(np.sum(T) + 2.0 * np.sum(cross) + _pair_sum(x[kp:], h))
 
 
 def _max_block_gram(lead: np.ndarray, plan: BlockPlan, g) -> np.ndarray:
@@ -439,8 +395,10 @@ def vstat_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, h: Kernel):
     ``evaluator(counts)`` with ``counts`` of shape ``(m, k)`` (how often each
     block was drawn; any batch of replicates, or all ``B``) returns the
     ``(m,)`` vector of ``kp * V*`` values, each from its own row alone.  In
-    exact arithmetic each value equals ``kp * bootstrap_v_statistic`` on the
-    sample assembled from the same draw.
+    exact arithmetic each value is, on the sample ``X*`` assembled from the
+    same draw and with ``i, j`` over ``1..kp``,
+
+        kp V* = (1/kp) [sum h(X*_i, X*_j) - 2 sum h(X*_i, X_j) + sum h(X_i, X_j)].
 
     The values are ``v^T T v / kp`` with ``v = counts - 1`` and ``T`` the
     block-pair kernel sums.  With a feature map ``T = S S^T`` for the ``(k, r)``
@@ -470,8 +428,9 @@ def cvm_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, spec: CvmSpec):
 
     ``evaluator(counts)`` maps an ``(m, k)`` batch of count rows (or all
     ``B``) to the ``(m,)`` vector of ``kp``-scaled weighted squared CDF
-    distances, each from its own row alone; in exact arithmetic each value equals
-    :func:`bootstrap_cvm_statistic` on the sample assembled from the draw.
+    distances, each from its own row alone; in exact arithmetic each value is
+    ``kp sum_t w_t (F*(t) - F(t))^2``, with ``F*`` and ``F`` the empirical CDFs
+    of the sample ``X*_1..X*_kp`` assembled from the draw and of ``X_1..X_kp``.
 
     The distance is the V-statistic of ``h(x, y) = sum_t w_t (1{x <= t} -
     F(t)) (1{y <= t} - F(t))``.  Since ``1{x <= t} 1{y <= t} = 1{max(x, y) <= t}``,

@@ -1,13 +1,25 @@
 """Independent reference computations used by the tests.
 
 Everything here is deliberately written from first principles (exhaustive
-enumeration, exact rational arithmetic, brute-force series summation) and
-never calls into the code paths it is used to check.
+enumeration, exact rational arithmetic, brute-force series summation, dense
+kernel meshes, direct ECDF counts) and imports nothing from ``blockboot``:
+arrays go in and come out.  It holds the paper's definitions on the
+assembled bootstrap sample ``X*_1..X*_kp``, which the package computes from
+block counts instead:
+
+* :func:`draw_bootstrap_sample`, ``k`` blocks of length ``p`` drawn
+  uniformly with replacement and concatenated;
+* :func:`bootstrap_mean_statistic`, ``sqrt(kp) (mean X* - mean X_1..X_kp)``;
+* :func:`bootstrap_v_statistic`, the three-term bootstrap V-statistic;
+* :func:`bootstrap_cvm_statistic`, ``kp`` times the weighted squared
+  distance of the two empirical CDFs;
+* :func:`u_statistic`, the off-diagonal average of a kernel mesh.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +28,66 @@ import numpy as np
 def all_block_selections(k: int):
     """Every way of filling k slots with blocks 0..k-1, in a fixed order."""
     return itertools.product(range(k), repeat=k)
+
+
+def assemble(values, p: int, pick) -> np.ndarray:
+    """The blocks ``pick`` of length ``p`` of ``values``, concatenated in order."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values[b * p : (b + 1) * p] for b in pick])
+
+
+def draw_bootstrap_sample(values, p: int, rng: np.random.Generator) -> np.ndarray:
+    """``X*_1..X*_kp``: the blocks ``rng.integers(0, k, size=k)``, ``k = len(values) // p``."""
+    k = len(values) // p
+    return assemble(values, p, rng.integers(0, k, size=k))
+
+
+def bootstrap_mean_statistic(values, star) -> np.ndarray:
+    """``sqrt(kp) * (mean(star) - mean of the first kp rows of values)``, ``kp = len(star)``."""
+    values = np.asarray(values, dtype=np.float64)
+    kp = len(star)
+    return math.sqrt(kp) * (np.mean(star, axis=0) - np.mean(values[:kp], axis=0))
+
+
+def _mesh_total(h, x, y) -> float:
+    """``sum_{i,j} h(x_i, y_j)`` over the dense ``len(x) x len(y)`` mesh."""
+    return float(np.sum(h(x[:, None], y[None, :])))
+
+
+def bootstrap_v_statistic(values, star, h) -> float:
+    """Three-term bootstrap V-statistic on dense meshes, ``m = len(star)``.
+
+    ``(1/m^2) [sum h(X*_i, X*_j) - 2 sum h(X*_i, X_j) + sum h(X_i, X_j)]``
+    with ``i, j`` over ``1..m`` and ``h`` a function of two arrays.
+    """
+    star = np.asarray(star, dtype=np.float64)
+    m = len(star)
+    x = np.asarray(values, dtype=np.float64)[:m]
+    return (_mesh_total(h, star, star) - 2.0 * _mesh_total(h, star, x)
+            + _mesh_total(h, x, x)) / (m * m)
+
+
+def bootstrap_cvm_statistic(values, star, grid, weights) -> float:
+    """``kp * sum_t w_t (F*(t) - F(t))^2`` with ``F*``, ``F`` counted over ``star`` and
+    the first ``kp = len(star)`` values."""
+    star = np.asarray(star, dtype=np.float64)
+    kp = len(star)
+    x = np.asarray(values, dtype=np.float64)[:kp]
+    grid = np.asarray(grid, dtype=np.float64)
+
+    def ecdf(sample):
+        return np.count_nonzero(sample[:, None] <= grid[None, :], axis=0) / kp
+
+    diff = ecdf(star) - ecdf(x)
+    return float(kp * np.sum(diff * diff * weights))
+
+
+def u_statistic(values, h) -> float:
+    """``(1/(n(n-1))) sum_{i != j} h(x_i, x_j)``: the dense mesh with its diagonal masked."""
+    x = np.asarray(values, dtype=np.float64)
+    n = len(x)
+    mesh = h(x[:, None], x[None, :])
+    return float(np.sum(mesh[~np.eye(n, dtype=bool)])) / (n * (n - 1))
 
 
 def exact_block_means(x, p: int) -> list[Fraction]:

@@ -19,30 +19,29 @@ from blockboot import (
     BlockPlan,
     HilbertSample,
     bootstrap_distribution,
-    bootstrap_v_statistic,
     block_length_schedule,
     cvm_statistic,
-    draw_bootstrap_sample,
     gaussian_kernel,
     generate_real,
     long_run_variance_estimate,
     make_cvm_spec,
     product_kernel,
-    sample_mean,
-    u_statistic,
     v_statistic,
 )
+from blockboot.bootstrap import counts_from_indices
 from blockboot.generators import ProcessConfig
 from blockboot.harness import ExperimentConfig, run_experiment
 from blockboot.rng import derive_stream
-from blockboot.vmstat import kernel_from_token
+from blockboot.vmstat import kernel_from_token, vstat_bootstrap_evaluator
 from child_env import child_env
 from oracles import (
     all_block_selections,
     ar1_long_run_variance,
+    assemble,
     discrete_law,
     exact_centered_mean_law,
     ks_sample_vs_discrete,
+    u_statistic,
 )
 
 
@@ -98,7 +97,7 @@ def test_criterion_02_centering_identity(announce):
 
 
 def test_criterion_03_u_v_identity(announce):
-    """U- and V-statistics agree through the diagonal-correction identity."""
+    """The package's V and the dense-mesh U agree through the diagonal-correction identity."""
     rng = derive_stream(20260803)
     kernels = [product_kernel(), gaussian_kernel(1.0), gaussian_kernel(0.5),
                kernel_from_token("cvm:normal")]
@@ -108,7 +107,7 @@ def test_criterion_03_u_v_identity(announce):
         x = rng.standard_normal(n) * float(rng.uniform(0.5, 2.0))
         s = scalar_sample(x)
         kern = kernels[trial % len(kernels)]
-        u = u_statistic(s, kern)
+        u = u_statistic(x, kern.eval)
         v = v_statistic(s, kern)
         diagonal = float(np.sum(kern.eval(x, x)))
         rhs = n / (n - 1) * v - diagonal / (n * (n - 1))
@@ -119,24 +118,31 @@ def test_criterion_03_u_v_identity(announce):
 
 
 def test_criterion_04_three_term_formula(announce):
-    """Three-term bootstrap value: product-kernel identity and nonnegativity."""
+    """Three-term bootstrap value: product-kernel identity and nonnegativity.
+
+    Each value ``V*`` is read from the count evaluator on the counts of one
+    draw; the product-kernel target is taken on the sample assembled from it.
+    """
     rng = derive_stream(20260804)
+
+    def star_value(x, plan, kern):
+        pick = rng.integers(0, plan.k, size=plan.k)
+        counts = counts_from_indices(pick, plan.k)
+        value = vstat_bootstrap_evaluator(scalar_sample(x), plan, kern)(counts)[0] / plan.kp
+        return value, assemble(x, plan.p, pick)
+
     kern_xy = product_kernel()
     worst_product = 0.0
     for _ in range(100):
-        s = scalar_sample(rng.standard_normal(16))
-        plan = BlockPlan(n=16, p=4)
-        star = draw_bootstrap_sample(s, plan, rng)
-        value = bootstrap_v_statistic(s, star, kern_xy)
-        target = (sample_mean(star).values[0] - sample_mean(s).values[0]) ** 2
+        x = rng.standard_normal(16)
+        value, star = star_value(x, BlockPlan(n=16, p=4), kern_xy)
+        target = (np.mean(star) - np.mean(x)) ** 2
         worst_product = max(worst_product, abs(value - target))
     kern_gauss = gaussian_kernel(1.0)
     most_negative = 0.0
     for _ in range(10000):
-        s = scalar_sample(rng.standard_normal(12))
-        plan = BlockPlan(n=12, p=3)
-        star = draw_bootstrap_sample(s, plan, rng)
-        most_negative = min(most_negative, bootstrap_v_statistic(s, star, kern_gauss))
+        x = rng.standard_normal(12)
+        most_negative = min(most_negative, star_value(x, BlockPlan(n=12, p=3), kern_gauss)[0])
     ok = worst_product < 1e-12 and most_negative >= -1e-12
     announce(4, ok, f"product-kernel identity error {worst_product:.2e} < 1e-12 "
                     f"(100 draws); gaussian minimum {most_negative:.2e} >= -1e-12 "

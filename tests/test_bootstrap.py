@@ -11,9 +11,7 @@ from blockboot import (
     HilbertSample,
     block_length_schedule,
     bootstrap_distribution,
-    bootstrap_mean_statistic,
     bootstrap_replicate,
-    draw_bootstrap_sample,
     empirical_quantile,
     long_run_variance_estimate,
     two_sample_test,
@@ -24,6 +22,7 @@ from blockboot.bootstrap import (
     block_counts_per_replicate,
     counts_from_indices,
     decide,
+    mean_evaluator,
 )
 from blockboot.exceptions import (
     EmptyInputError,
@@ -35,14 +34,7 @@ from blockboot.exceptions import (
 from blockboot.generators import ProcessConfig, generate_real
 from blockboot.hilbert import GridFunction, sample_mean
 from blockboot.rng import derive_stream
-from blockboot.vmstat import (
-    bootstrap_v_statistic,
-    degeneracy_diagnostic,
-    product_kernel,
-    u_statistic,
-    v_statistic,
-    vstat_test,
-)
+from blockboot.vmstat import degeneracy_diagnostic, product_kernel, v_statistic, vstat_test
 from oracles import (
     all_block_selections,
     ar1_long_run_variance,
@@ -96,13 +88,17 @@ class TestBlockLengthSchedule:
         assert 1 <= plan.p <= plan.n and plan.k >= 1
 
 
-class TestDrawBootstrapSample:
+def assembled_sample(s, plan, seed, r):
+    """The bootstrap sample that replicate ``r`` of a callable statistic sees."""
+    return bootstrap_replicate(s, plan, lambda sample, star, pl: star, seed, r)
+
+
+class TestAssembledSample:
     def test_single_block_returns_leading_slice(self):
         s = scalar_sample(np.arange(10.0))
         plan = BlockPlan(n=10, p=10)
-        rng = derive_stream(1)
-        for _ in range(5):
-            star = draw_bootstrap_sample(s, plan, rng)
+        for r in range(5):
+            star = assembled_sample(s, plan, 1, r)
             assert np.array_equal(star.values, s.values[:10])
 
     def test_outputs_are_original_blocks(self):
@@ -110,7 +106,7 @@ class TestDrawBootstrapSample:
         s = scalar_sample(rng.standard_normal(20))
         plan = BlockPlan(n=20, p=4)
         original_blocks = {s.values[i * 4 : (i + 1) * 4].tobytes() for i in range(plan.k)}
-        star = draw_bootstrap_sample(s, plan, derive_stream(3))
+        star = assembled_sample(s, plan, 3, 0)
         for i in range(plan.k):
             assert star.values[i * 4 : (i + 1) * 4].tobytes() in original_blocks
 
@@ -118,12 +114,12 @@ class TestDrawBootstrapSample:
         # oracle: with k = 2 the four outcome pairs are equally likely
         s = scalar_sample([10.0, 11.0, 20.0, 21.0])
         plan = BlockPlan(n=4, p=2)
-        rng = derive_stream(4)
-        counts = {}
         draws = 100000
-        for _ in range(draws):
-            star = draw_bootstrap_sample(s, plan, rng)
-            key = (star.values[0, 0], star.values[2, 0])
+        # The first value of each of the two drawn blocks, one row per draw.
+        firsts = bootstrap_distribution(s, plan, draws,
+                                        lambda sample, star, pl: star.values[::2, 0], seed=4)
+        counts = {}
+        for key in map(tuple, firsts):
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 4
         chi_square = 0.0
@@ -136,32 +132,25 @@ class TestDrawBootstrapSample:
     def test_fixed_stream_is_deterministic(self):
         s = scalar_sample(np.arange(12.0))
         plan = BlockPlan(n=12, p=3)
-        a = draw_bootstrap_sample(s, plan, derive_stream(9, 5))
-        b = draw_bootstrap_sample(s, plan, derive_stream(9, 5))
+        a = assembled_sample(s, plan, 9, 5)
+        b = assembled_sample(s, plan, 9, 5)
         assert np.array_equal(a.values, b.values)
-
-    def test_plan_mismatch(self):
-        s = scalar_sample(np.arange(10.0))
-        with pytest.raises(PlanMismatchError):
-            draw_bootstrap_sample(s, BlockPlan(n=8, p=2), derive_stream(0))
 
 
 class TestBootstrapMeanStatistic:
     def test_identity_draw_gives_zero(self):
         s = scalar_sample(np.arange(1.0, 9.0))
         plan = BlockPlan(n=8, p=8)
-        star = HilbertSample(s.grid, s.weights, s.values[: plan.kp])
-        assert np.all(bootstrap_mean_statistic(s, star, plan).values == 0.0)
+        assert np.all(mean_evaluator(s, plan)(np.ones((1, plan.k), dtype=np.int64)) == 0.0)
 
     def test_dyadic_scaling_is_exact(self):
         rng = derive_stream(5)
         s = scalar_sample(rng.standard_normal(12))
         plan = BlockPlan(n=12, p=3)
-        star = draw_bootstrap_sample(s, plan, derive_stream(6))
+        counts = block_counts_per_replicate(plan, seed=6, B=8)
         scaled = HilbertSample(s.grid, s.weights, 2.0 * s.values)
-        star2 = HilbertSample(s.grid, s.weights, 2.0 * star.values)
-        lhs = bootstrap_mean_statistic(scaled, star2, plan).values
-        rhs = 2.0 * bootstrap_mean_statistic(s, star, plan).values
+        lhs = mean_evaluator(scaled, plan)(counts)
+        rhs = 2.0 * mean_evaluator(s, plan)(counts)
         assert np.array_equal(lhs, rhs)
 
     def test_exact_conditional_law_matches_enumeration(self):
@@ -170,19 +159,9 @@ class TestBootstrapMeanStatistic:
         s = scalar_sample(data)
         plan = BlockPlan(n=6, p=2)
         oracle = sorted(float(v) * math.sqrt(6.0) for v in exact_centered_mean_law(data, 2))
-        got = []
-        for pick in all_block_selections(plan.k):
-            rows = np.concatenate([np.arange(b * 2, b * 2 + 2) for b in pick])
-            star = HilbertSample(s.grid, s.weights, s.values[rows])
-            got.append(float(bootstrap_mean_statistic(s, star, plan).values[0]))
-        got.sort()
+        picks = np.array(list(all_block_selections(plan.k)))
+        got = sorted(mean_evaluator(s, plan)(counts_from_indices(picks, plan.k))[:, 0])
         assert got == pytest.approx(oracle, abs=1e-12)
-
-    def test_length_mismatch(self):
-        s = scalar_sample(np.arange(6.0))
-        plan = BlockPlan(n=6, p=2)
-        with pytest.raises(PlanMismatchError):
-            bootstrap_mean_statistic(s, scalar_sample([1.0, 2.0]), plan)
 
 
 class TestCenteringIdentity:
@@ -251,7 +230,7 @@ class TestBootstrapDistribution:
         "mean",
         "lrv",
         lambda s, star, plan: float(np.sum(star.values[:, 0] * np.arange(star.n))),
-        bootstrap_mean_statistic,
+        lambda s, star, plan: GridFunction(s.grid, star.values.mean(axis=0), s.weights),
     ], ids=["mean", "lrv", "float-callable", "grid-callable"])
     def test_every_statistic_kind_recomputes_single_replicates(self, statistic):
         # The float callable depends on the order of the drawn blocks.
@@ -318,8 +297,6 @@ class TestBootstrapDistribution:
         h = product_kernel()
         calls = [
             (lambda: v_statistic(s, h), math.inf),
-            (lambda: u_statistic(s, h), math.nan),
-            (lambda: bootstrap_v_statistic(s, s, h), math.nan),
             (lambda: degeneracy_diagnostic(s, h, [1e308, 1.0]),
              (NonFiniteStatisticError, "degeneracy diagnostic is nan")),
             (lambda: sample_mean(s), (ValueError, "values must be finite")),

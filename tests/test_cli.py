@@ -746,3 +746,20 @@ def test_fuzzed_config_files_exit_0_2_or_3_with_one_error_line(tmp_path_factory,
     if code:
         assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
     assert out.exists() == (code in (0, 3))
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("generate", PROCESS_INI + "\n[grid]\npoints = 5\n", "[grid] only applies"),
+    ("montecarlo", EXPERIMENT_INI.replace("[process]", "null = t:3\n\n[process]"),
+     "null only applies to cvm"),
+], ids=["generate-scalar-grid", "montecarlo-mean-norm-null"])
+def test_settings_without_effect_exit_2_with_one_error_line(tmp_path, capsys, command, text,
+                                                            message):
+    config = tmp_path / "ignored.ini"
+    config.write_text(text)
+    out = tmp_path / "out"
+    extra = ["--n", "20"] if command == "generate" else []
+    assert run_cli(command, "--config", str(config), *extra, "--out", str(out)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    assert not out.exists()

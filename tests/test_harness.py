@@ -85,6 +85,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             mean_config(mean_shift=1.0)
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(statistic="vstat:product", null="t:3"), "null only applies to cvm"),
+        (dict(statistic="two-sample-mean", null="normal"), "null only applies to cvm"),
+        (dict(null="auto", grid=GridSpec(points=5)), "only applies to functional"),
+        (dict(statistic="cvm", grid=GridSpec(points=5)), "only applies to functional"),
+    ], ids=["vstat-null", "two-sample-null", "mean-norm-scalar-grid", "cvm-scalar-grid"])
+    def test_settings_without_effect_rejected(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            mean_config(**overrides)
+
     @pytest.mark.parametrize("build", [
         lambda: mean_config(statistic="two-sample-mean", mean_shift=float("inf")),
         lambda: mean_config(statistic="two-sample-mean", mean_shift=float("nan")),

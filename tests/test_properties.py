@@ -19,15 +19,10 @@ from hypothesis import strategies as st
 from blockboot import (
     BlockPlan,
     HilbertSample,
-    bootstrap_cvm_statistic,
     bootstrap_distribution,
-    bootstrap_mean_statistic,
-    bootstrap_v_statistic,
     block_length_schedule,
-    draw_bootstrap_sample,
     long_run_variance_estimate,
     make_cvm_spec,
-    norm,
     trapezoid_weights,
     two_sample_test,
 )
@@ -44,7 +39,6 @@ from blockboot.bootstrap import (
     two_sample_statistics,
 )
 from blockboot.dists import normal, uniform
-from blockboot.exceptions import InsufficientSampleError
 from blockboot.rng import derive_stream, replicate_streams
 from blockboot.vmstat import (
     Kernel,
@@ -53,10 +47,15 @@ from blockboot.vmstat import (
     kernel_from_token,
     cvm_test,
     product_kernel,
-    u_statistic,
     v_statistic,
     vstat_bootstrap_evaluator,
     vstat_test,
+)
+from oracles import (
+    bootstrap_cvm_statistic,
+    bootstrap_mean_statistic,
+    bootstrap_v_statistic,
+    draw_bootstrap_sample,
 )
 
 SEEDS = st.integers(0, 2**64 - 1)
@@ -99,10 +98,9 @@ def test_two_sample_replicates_match_assembled_samples(data, d, B, seed):
     center_y = y.values[: plan_y.kp].mean(axis=0)
     expected = []
     for r in range(B):
-        star_x = draw_bootstrap_sample(x, plan_x, derive_stream(seed, r))
-        star_y = draw_bootstrap_sample(y, plan_y, derive_stream(seed, r, 1))
-        delta = ((star_x.values.mean(axis=0) - center_x)
-                 - (star_y.values.mean(axis=0) - center_y))
+        star_x = draw_bootstrap_sample(x.values, plan_x.p, derive_stream(seed, r))
+        star_y = draw_bootstrap_sample(y.values, plan_y.p, derive_stream(seed, r, 1))
+        delta = (star_x.mean(axis=0) - center_x) - (star_y.mean(axis=0) - center_y)
         expected.append(math.sqrt(np.sum(delta * delta * x.weights)))
     # The data are of unit scale; the absolute slack covers replicates whose
     # exact value is 0, where the two summation orders leave ~1e-17.
@@ -110,18 +108,24 @@ def test_two_sample_replicates_match_assembled_samples(data, d, B, seed):
 
 
 def assembled(s, plan, seed, B):
-    """The bootstrap samples that replicates ``0..B-1`` draw."""
-    return [draw_bootstrap_sample(s, plan, derive_stream(seed, r)) for r in range(B)]
+    """The ``(kp, d)`` bootstrap samples that replicates ``0..B-1`` draw."""
+    return [draw_bootstrap_sample(s.values, plan.p, derive_stream(seed, r)) for r in range(B)]
+
+
+def _star_mean_norm(s, star, plan):
+    mean = bootstrap_mean_statistic(s.values, star)
+    return math.sqrt(np.sum(mean * mean * s.weights))
 
 
 def _star_lrv(s, star, plan):
-    return long_run_variance_estimate(star, BlockPlan(n=star.n, p=plan.p))
+    return long_run_variance_estimate(HilbertSample(s.grid, s.weights, star),
+                                      BlockPlan(n=len(star), p=plan.p))
 
 
 #: Each count statistic's value on an assembled bootstrap sample, by its name.
 REFERENCES = {
-    "mean": lambda s, star, plan: bootstrap_mean_statistic(s, star, plan).values,
-    "mean-norm": lambda s, star, plan: norm(bootstrap_mean_statistic(s, star, plan)),
+    "mean": lambda s, star, plan: bootstrap_mean_statistic(s.values, star),
+    "mean-norm": _star_mean_norm,
     "lrv": _star_lrv,
 }
 
@@ -147,21 +151,22 @@ def test_vstat_evaluator_matches_assembled_samples(sp, B, seed, token):
     s, plan = sp
     kernel = kernel_from_token(token)
     values = vstat_bootstrap_evaluator(s, plan, kernel)(block_counts_per_replicate(plan, seed, B))
-    lead = HilbertSample(s.grid, s.weights, s.values[: plan.kp])
-    expected = [plan.kp * bootstrap_v_statistic(lead, star, kernel)
+    expected = [plan.kp * bootstrap_v_statistic(s.scalars(), star[:, 0], kernel.eval)
                 for star in assembled(s, plan, seed, B)]
     np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
-@given(sp=sample_and_plan(1), tile_blocks=st.integers(1, 5), bandwidth=st.floats(0.1, 10.0))
+@given(sp=sample_and_plan(1), tile_blocks=st.integers(1, 5) | st.floats(0.0, 0.99),
+       bandwidth=st.floats(0.1, 10.0))
 def test_half_mesh_walk_matches_full_mesh_sums(sp, tile_blocks, bandwidth):
-    # Tiles of ``tile_blocks`` blocks read only the upper half of the mesh;
-    # the block-pair sums and the total of the full mesh must still agree.
+    # Tiles of ``tile_blocks`` blocks, or of whole rows of a block when below
+    # one, read only the upper half of the mesh; the block-pair sums and the
+    # total of the full mesh must still agree.
     s, plan = sp
     x = s.scalars()
     kernel = kernel_from_token(f"gaussian:{bandwidth}")
-    with mock.patch.object(vmstat, "TILE_BYTES", 8 * plan.p * s.n * tile_blocks):
+    with mock.patch.object(vmstat, "TILE_BYTES", int(8 * plan.p * s.n * tile_blocks)):
         T, total = vmstat._mesh_sums(x, plan, kernel)
     mesh = kernel.eval(x[:, None], x[None, :])
     block_sums = mesh[: plan.kp, : plan.kp].reshape(plan.k, plan.p, plan.k, plan.p)
@@ -186,11 +191,6 @@ def test_feature_map_matches_kernel_meshes(sp, B, seed):
     checks = [(v_statistic(s, fast), v_statistic(s, PRODUCT_MESH)),
               (vstat_bootstrap_evaluator(s, plan, fast)(counts),
                vstat_bootstrap_evaluator(s, plan, PRODUCT_MESH)(counts))]
-    if s.n >= 2:
-        checks.append((u_statistic(s, fast), u_statistic(s, PRODUCT_MESH)))
-    else:
-        with pytest.raises(InsufficientSampleError):
-            u_statistic(s, fast)
     for got, expected in checks:
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
@@ -211,8 +211,8 @@ def test_cvm_evaluator_matches_assembled_samples(case, B, seed):
     (s, plan), null = case
     spec = make_cvm_spec(null.cdf, null.support, null.weight_fn, sample=s, n_grid=256)
     values = cvm_bootstrap_evaluator(s, plan, spec)(block_counts_per_replicate(plan, seed, B))
-    lead = HilbertSample(s.grid, s.weights, s.values[: plan.kp])
-    expected = [bootstrap_cvm_statistic(lead, star, spec) for star in assembled(s, plan, seed, B)]
+    expected = [bootstrap_cvm_statistic(s.scalars(), star[:, 0], spec.grid, spec.weights)
+                for star in assembled(s, plan, seed, B)]
     np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12)
 
 
@@ -246,8 +246,6 @@ def test_max_profile_matches_kernel_meshes(case, B, seed, shape):
     checks = [(v_statistic(s, fast), v_statistic(s, mesh)),
               (vstat_bootstrap_evaluator(s, plan, fast)(counts),
                vstat_bootstrap_evaluator(s, plan, mesh)(counts))]
-    if s.n >= 2:
-        checks.append((u_statistic(s, fast), u_statistic(s, mesh)))
     diagonal = np.abs(fast.eval(s.scalars(), s.scalars()))
     for got, expected in checks:
         scale = np.max(np.concatenate([np.abs(np.atleast_1d(expected)), diagonal]))

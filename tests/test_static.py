@@ -11,6 +11,7 @@ import blockboot
 from child_env import child_env
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "blockboot"
+ORACLES = pathlib.Path(__file__).resolve().parent / "oracles.py"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 #: Marks the line above an import that exists only for perfbench/tracing.py to wrap.
@@ -88,13 +89,13 @@ def test_count_products_go_through_one_helper():
     assert einsum_calls((PACKAGE / "vmstat.py").read_text(), {"_max_block_gram"}) == []
 
 
-def scipy_imports(source: str) -> list[str]:
-    """Each scipy import of ``source``, written as ``import x`` or ``from x import y``."""
+def imports_of(source: str, package: str) -> list[str]:
+    """Each import from ``package`` in ``source``, written as ``import x`` or ``from x import y``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            found += [f"import {alias.name}" for alias in node.names if alias.name.split(".")[0] == "scipy"]
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            found += [f"import {alias.name}" for alias in node.names if alias.name.split(".")[0] == package]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == package:
             found += [f"from {node.module} import {alias.name}" for alias in node.names]
     return found
 
@@ -102,15 +103,27 @@ def scipy_imports(source: str) -> list[str]:
 def test_checker_lists_scipy_imports():
     source = ("import scipy.stats\nimport numpy, scipy as sp\nfrom scipy import special, signal\n"
               "def f():\n    from scipy.signal import lfilter\n")
-    assert scipy_imports(source) == ["import scipy.stats", "import scipy", "from scipy import special",
-                                     "from scipy import signal", "from scipy.signal import lfilter"]
+    assert imports_of(source, "scipy") == ["import scipy.stats", "import scipy", "from scipy import special",
+                                           "from scipy import signal", "from scipy.signal import lfilter"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
 def test_scipy_special_is_the_only_scipy_import(path):
     # The null laws and the AR(1) recursion are written out over scipy.special;
     # scipy.stats and scipy.signal load ~460 modules the package does not need.
-    assert set(scipy_imports(path.read_text())) <= {"from scipy import special"}
+    assert set(imports_of(path.read_text(), "scipy")) <= {"from scipy import special"}
+
+
+def test_checker_lists_blockboot_imports():
+    source = ("import numpy\nimport blockboot as bb\nfrom blockboot.vmstat import Kernel\n"
+              "def f():\n    from blockboot import v_statistic\n")
+    assert imports_of(source, "blockboot") == [
+        "import blockboot", "from blockboot.vmstat import Kernel", "from blockboot import v_statistic"]
+
+
+def test_oracles_import_nothing_from_the_package():
+    # The test references are independent of the code paths they check.
+    assert imports_of(ORACLES.read_text(), "blockboot") == []
 
 
 def test_importing_the_entry_points_loads_no_scipy_stats_or_signal():

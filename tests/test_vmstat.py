@@ -10,29 +10,18 @@ from blockboot import (
     CvmSpec,
     HilbertSample,
     Kernel,
-    bootstrap_cvm_statistic,
-    bootstrap_v_statistic,
     cvm_kernel,
     cvm_statistic,
     cvm_test,
     degeneracy_diagnostic,
-    draw_bootstrap_sample,
     empirical_cdf,
     gaussian_kernel,
     make_cvm_spec,
     product_kernel,
-    sample_mean,
-    u_statistic,
     v_statistic,
     vstat_test,
 )
-from blockboot.exceptions import (
-    ConfigError,
-    CvmSpecError,
-    InsufficientSampleError,
-    NonFiniteStatisticError,
-    PlanMismatchError,
-)
+from blockboot.exceptions import ConfigError, CvmSpecError, NonFiniteStatisticError
 from blockboot.rng import derive_stream
 from blockboot.vmstat import (
     cvm_bootstrap_evaluator,
@@ -40,7 +29,16 @@ from blockboot.vmstat import (
     vstat_bootstrap_evaluator,
 )
 from blockboot.bootstrap import counts_from_indices
-from oracles import all_block_selections, brute_force_ecdf, discrete_law, ks_sample_vs_discrete
+from oracles import (
+    all_block_selections,
+    assemble,
+    bootstrap_cvm_statistic,
+    bootstrap_v_statistic,
+    brute_force_ecdf,
+    discrete_law,
+    ks_sample_vs_discrete,
+    u_statistic,
+)
 
 
 def scalar_sample(values):
@@ -92,7 +90,6 @@ class TestKernels:
         plan = BlockPlan(n=30, p=4)
         counts = counts_from_indices(derive_stream(70).integers(0, plan.k, (5, plan.k)), plan.k)
         assert v_statistic(s, kern) == pytest.approx(v_statistic(s, mesh), rel=1e-12)
-        assert u_statistic(s, kern) == pytest.approx(u_statistic(s, mesh), rel=1e-12)
         np.testing.assert_allclose(vstat_bootstrap_evaluator(s, plan, kern)(counts),
                                    vstat_bootstrap_evaluator(s, plan, mesh)(counts),
                                    rtol=1e-12, atol=1e-12)
@@ -155,93 +152,77 @@ class TestVStatistic:
 
 
 class TestUStatistic:
-    def test_constant_kernel(self):
-        assert u_statistic(scalar_sample([1.0, 5.0, 9.0]), ONES) == 1.0
-
-    def test_single_pair(self):
-        assert u_statistic(scalar_sample([1.0, 2.0]), product_kernel()) == 2.0
-
-    def test_needs_two_observations(self):
-        with pytest.raises(InsufficientSampleError):
-            u_statistic(scalar_sample([1.0]), product_kernel())
-
     @pytest.mark.parametrize("kernel_token", ["product", "gaussian:1.0", "cvm:normal"])
     def test_uv_identity_on_random_samples(self, kernel_token):
-        # independent cross-check of the diagonal-correction identity
+        # The package's V against the dense-mesh U through the diagonal-correction identity
         kern = kernel_from_token(kernel_token)
         rng = derive_stream(53)
         for _ in range(34):
             n = int(rng.integers(2, 51))
             x = rng.standard_normal(n)
             s = scalar_sample(x)
-            u = u_statistic(s, kern)
+            u = u_statistic(x, kern.eval)
             v = v_statistic(s, kern)
             diagonal = float(np.sum(kern.eval(x, x)))
             rhs = n / (n - 1) * v - diagonal / (n * (n - 1))
             assert abs(u - rhs) < 1e-12 * max(1.0, abs(u))
 
 
+def draws_and_counts(rng, plan, m):
+    """``m`` draws of ``plan.k`` block indices from ``rng``, and their count rows."""
+    idx = rng.integers(0, plan.k, size=(m, plan.k))
+    return idx, counts_from_indices(idx, plan.k)
+
+
 class TestBootstrapVStatistic:
     def test_identity_resample_is_exactly_zero(self):
         rng = derive_stream(54)
         s = scalar_sample(rng.standard_normal(12))
-        assert bootstrap_v_statistic(s, s, gaussian_kernel(1.0)) == 0.0
+        plan = BlockPlan(n=12, p=3)
+        evaluator = vstat_bootstrap_evaluator(s, plan, gaussian_kernel(1.0))
+        assert evaluator(np.ones((1, plan.k), dtype=np.int64))[0] == 0.0
 
     def test_product_kernel_equals_squared_mean_difference(self):
         rng = derive_stream(55)
         kern = product_kernel()
+        plan = BlockPlan(n=16, p=4)
         for _ in range(25):
-            s = scalar_sample(rng.standard_normal(16))
-            plan = BlockPlan(n=16, p=4)
-            star = draw_bootstrap_sample(s, plan, rng)
-            value = bootstrap_v_statistic(s, star, kern)
-            target = (sample_mean(star).values[0] - sample_mean(s).values[0]) ** 2
+            x = rng.standard_normal(16)
+            idx, counts = draws_and_counts(rng, plan, 1)
+            value = vstat_bootstrap_evaluator(scalar_sample(x), plan, kern)(counts)[0] / plan.kp
+            target = (np.mean(assemble(x, plan.p, idx[0])) - np.mean(x)) ** 2
             assert abs(value - target) < 1e-12
 
     def test_gaussian_kernel_nonnegative(self):
         rng = derive_stream(56)
         kern = gaussian_kernel(1.0)
+        plan = BlockPlan(n=12, p=3)
         for _ in range(200):
             s = scalar_sample(rng.standard_normal(12))
-            plan = BlockPlan(n=12, p=3)
-            star = draw_bootstrap_sample(s, plan, rng)
-            assert bootstrap_v_statistic(s, star, kern) >= -1e-12
-
-    def test_length_mismatch(self):
-        with pytest.raises(PlanMismatchError):
-            bootstrap_v_statistic(scalar_sample([1.0, 2.0]), scalar_sample([1.0]), ONES)
+            _, counts = draws_and_counts(rng, plan, 1)
+            assert vstat_bootstrap_evaluator(s, plan, kern)(counts)[0] / plan.kp >= -1e-12
 
     def test_exact_conditional_law_matches_enumeration(self):
-        # oracle: k^k = 4 outcomes enumerated through direct resample values
+        # oracle: k^k = 4 outcomes of the dense three-term formula, enumerated
         data = np.array([1.0, 2.0, 3.0, 4.0])
-        s = scalar_sample(data)
         plan = BlockPlan(n=4, p=2)
         kern = gaussian_kernel(1.0)
-        exact = []
-        for pick in all_block_selections(plan.k):
-            rows = np.concatenate([np.arange(b * 2, b * 2 + 2) for b in pick])
-            star = HilbertSample(s.grid, s.weights, s.values[rows])
-            exact.append(bootstrap_v_statistic(s, star, kern))
+        exact = [bootstrap_v_statistic(data, assemble(data, plan.p, pick), kern.eval)
+                 for pick in all_block_selections(plan.k)]
         support, probs = discrete_law(exact, tol=1e-12)
-        rng = derive_stream(57)
-        draws = np.empty(20000)
-        for i in range(draws.size):
-            star = draw_bootstrap_sample(s, plan, rng)
-            draws[i] = bootstrap_v_statistic(s, star, kern)
+        _, counts = draws_and_counts(derive_stream(57), plan, 20000)
+        draws = vstat_bootstrap_evaluator(scalar_sample(data), plan, kern)(counts) / plan.kp
         assert ks_sample_vs_discrete(draws, support, probs) < 0.02
 
     def test_evaluator_matches_three_term_formula(self):
         rng = derive_stream(58)
-        s = scalar_sample(rng.standard_normal(24))
+        x = rng.standard_normal(24)
         plan = BlockPlan(n=24, p=4)
         kern = gaussian_kernel(1.0)
-        evaluator = vstat_bootstrap_evaluator(s, plan, kern)
-        idx = rng.integers(0, plan.k, size=(10, plan.k))
-        fast = evaluator(counts_from_indices(idx, plan.k))
-        for row, value in zip(idx, fast):
-            rows = (row[:, None] * plan.p + np.arange(plan.p)).ravel()
-            star = HilbertSample(s.grid, s.weights, s.values[rows])
-            slow = plan.kp * bootstrap_v_statistic(s, star, kern)
+        evaluator = vstat_bootstrap_evaluator(scalar_sample(x), plan, kern)
+        idx, counts = draws_and_counts(rng, plan, 10)
+        for row, value in zip(idx, evaluator(counts)):
+            slow = plan.kp * bootstrap_v_statistic(x, assemble(x, plan.p, row), kern.eval)
             assert value == pytest.approx(slow, rel=1e-10, abs=1e-12)
 
     def test_tiled_block_pair_sums_match_dense(self, monkeypatch):
@@ -261,12 +242,20 @@ class TestBootstrapVStatistic:
         assert meshes == [(40, 96), (40, 56), (16, 16)]
         assert tiled[0] == pytest.approx(dense[0], rel=1e-12)
         assert tiled[1] == pytest.approx(dense[1], rel=1e-12)
+        meshes.clear()
+        # Blocks of 48 rows that do not fit: tiles of 10 rows against all 96
+        # columns, then of 20 rows against the last 48.
+        monkeypatch.setattr(vm, "TILE_BYTES", 8 * 96 * 10)
+        split = vm._mesh_sums(x, BlockPlan(n=96, p=48), kern)
+        assert meshes == [(10, 96)] * 4 + [(8, 96), (20, 48), (20, 48), (8, 48)]
+        assert split[1] == pytest.approx(dense[1], rel=1e-12)
 
     # (n, p): n a multiple of p, tails of 1..p-1, p = 1 and p = n.
     @pytest.mark.parametrize("n, p", [(20, 5), (21, 5), (22, 5), (23, 5), (24, 5), (7, 1),
                                       (9, 9), (17, 9)])
-    @pytest.mark.parametrize("tile_blocks", [None, 1, 3], ids=["one-tile", "block-tiles",
-                                                               "ragged-tiles"])
+    @pytest.mark.parametrize("tile_blocks", [None, 1, 3, 0.4, 0.0],
+                             ids=["one-tile", "block-tiles", "ragged-tiles", "part-block-tiles",
+                                  "row-tiles"])
     def test_mesh_sums_match_fsum_reference(self, monkeypatch, n, p, tile_blocks):
         import blockboot.vmstat as vm
 
@@ -274,7 +263,7 @@ class TestBootstrapVStatistic:
         plan = BlockPlan(n=n, p=p)
         kern = gaussian_kernel(0.9)
         if tile_blocks is not None:
-            monkeypatch.setattr(vm, "TILE_BYTES", 8 * p * n * tile_blocks)
+            monkeypatch.setattr(vm, "TILE_BYTES", int(8 * p * n * tile_blocks))
         T, total = vm._mesh_sums(x, plan, kern)
         mesh = kern.eval(x[:, None], x[None, :])
         blocks = [range(a * p, (a + 1) * p) for a in range(plan.k)]
@@ -324,19 +313,23 @@ class TestBootstrapVStatistic:
         # Separate observed and block-pair meshes took n^2 + (kp)^2 cells.
         assert sum(math.prod(shape) for shape in meshes) <= 0.6 * n * n
 
-    def test_gaussian_vstat_test_memory_is_bounded(self):
+    # A dense 4000 x 4000 mesh is 128 MB per temporary.  One block of 2000
+    # rows against all columns is 64 MB per temporary; tiles of whole rows
+    # keep each to TILE_BYTES (1 MiB).
+    @pytest.mark.parametrize("p, limit", [(16, 128 * 2**20), (2000, 16 * 2**20)],
+                             ids=["short-blocks", "long-blocks"])
+    def test_gaussian_vstat_test_memory_is_bounded(self, p, limit):
         import tracemalloc
 
         s = scalar_sample(derive_stream(71).standard_normal(4000))
-        plan = BlockPlan(n=4000, p=16)
+        plan = BlockPlan(n=4000, p=p)
         tracemalloc.start()
         try:
             vstat_test(s, gaussian_kernel(1.0), plan, B=1000, seed=3, level=0.05)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # A dense 4000 x 4000 mesh is 128 MB per temporary.
-        assert peak < 128 * 2**20
+        assert peak < limit
 
 
 class TestEmpiricalCdf:
@@ -424,8 +417,9 @@ class TestBootstrapCvmStatistic:
 
     def test_identity_resample_is_exactly_zero(self):
         s = scalar_sample([0.1, 0.5, 0.9, 0.2])
-        spec = self._uniform_spec(s)
-        assert bootstrap_cvm_statistic(s, s, spec) == 0.0
+        plan = BlockPlan(n=4, p=2)
+        evaluator = cvm_bootstrap_evaluator(s, plan, self._uniform_spec(s))
+        assert evaluator(np.ones((1, plan.k), dtype=np.int64))[0] == 0.0
 
     def test_equals_norm_of_indicator_mean_difference(self):
         rng = derive_stream(61)
@@ -433,13 +427,14 @@ class TestBootstrapCvmStatistic:
         s = scalar_sample(data)
         plan = BlockPlan(n=12, p=3)
         spec = self._uniform_spec(s)
-        star = draw_bootstrap_sample(s, plan, rng)
-        value = bootstrap_cvm_statistic(s, star, spec)
+        idx, counts = draws_and_counts(rng, plan, 1)
+        value = cvm_bootstrap_evaluator(s, plan, spec)(counts)[0]
 
         def indicator_rows(sample):
-            return (spec.grid[None, :] >= sample.values[:, [0]]).astype(np.float64)
+            return (spec.grid[None, :] >= sample[:, None]).astype(np.float64)
 
-        diff = indicator_rows(star).mean(axis=0) - indicator_rows(s).mean(axis=0)
+        diff = (indicator_rows(assemble(data, plan.p, idx[0])).mean(axis=0)
+                - indicator_rows(data).mean(axis=0))
         target = plan.kp * float(np.sum(diff * diff * spec.weights))
         assert value == pytest.approx(target, rel=1e-12, abs=1e-15)
 
@@ -448,17 +443,12 @@ class TestBootstrapCvmStatistic:
         s = scalar_sample(data)
         plan = BlockPlan(n=4, p=2)
         spec = self._uniform_spec(s)
-        exact = []
-        for pick in all_block_selections(plan.k):
-            rows = np.concatenate([np.arange(b * 2, b * 2 + 2) for b in pick])
-            star = HilbertSample(s.grid, s.weights, s.values[rows])
-            exact.append(bootstrap_cvm_statistic(s, star, spec))
+        exact = [bootstrap_cvm_statistic(data, assemble(data, plan.p, pick), spec.grid,
+                                         spec.weights)
+                 for pick in all_block_selections(plan.k)]
         support, probs = discrete_law(exact, tol=1e-12)
-        rng = derive_stream(62)
-        draws = np.empty(20000)
-        for i in range(draws.size):
-            star = draw_bootstrap_sample(s, plan, rng)
-            draws[i] = bootstrap_cvm_statistic(s, star, spec)
+        _, counts = draws_and_counts(derive_stream(62), plan, 20000)
+        draws = cvm_bootstrap_evaluator(s, plan, spec)(counts)
         assert ks_sample_vs_discrete(draws, support, probs) < 0.02
 
     def test_evaluator_matches_direct_statistic(self):
@@ -468,19 +458,11 @@ class TestBootstrapCvmStatistic:
         plan = BlockPlan(n=20, p=4)
         spec = self._uniform_spec(s)
         evaluator = cvm_bootstrap_evaluator(s, plan, spec)
-        idx = rng.integers(0, plan.k, size=(10, plan.k))
-        fast = evaluator(counts_from_indices(idx, plan.k))
-        for row, value in zip(idx, fast):
-            rows = (row[:, None] * plan.p + np.arange(plan.p)).ravel()
-            star = HilbertSample(s.grid, s.weights, s.values[rows])
-            slow = bootstrap_cvm_statistic(s, star, spec)
+        idx, counts = draws_and_counts(rng, plan, 10)
+        for row, value in zip(idx, evaluator(counts)):
+            slow = bootstrap_cvm_statistic(data, assemble(data, plan.p, row), spec.grid,
+                                           spec.weights)
             assert value == pytest.approx(slow, rel=1e-10, abs=1e-15)
-
-    def test_length_mismatch(self):
-        s = scalar_sample([0.1, 0.2, 0.3, 0.4])
-        spec = self._uniform_spec(s)
-        with pytest.raises(PlanMismatchError):
-            bootstrap_cvm_statistic(s, scalar_sample([0.1]), spec)
 
     def test_cvm_test_memory_is_bounded(self):
         import tracemalloc
