@@ -168,17 +168,28 @@ def _count_product(M: np.ndarray):
     are added and rounded once.  The dropped third slice is below
     ``2**(2s - 106)`` of the column's largest entry, so a value is within
     ``sum |row| * 2**(2s - 106) * max |column|``, plus half an ulp, of the
-    exact product.  A column within ``2**s`` of the float range is scaled by
-    a power of two first and back on the result, which overflows only where
-    the product does.
+    exact product.  Both slices go through one GEMM, side by side.  A column
+    within ``2**s`` of the float range is scaled by a power of two first and
+    back on the result, which overflows only where the product does.
     """
     M = np.asarray(M, dtype=np.float64)
+    c = M.shape[1]
     s = (len(M) - 1).bit_length() + 2
     scale = np.ldexp(1.0, np.minimum(0, 1023 - s - _exponents(M)))
     M = M * scale
     hi = _split(M, s)
-    mid = _split(M - hi, s)
-    return lambda rows: (rows @ hi + rows @ mid) / scale
+    slices = np.hstack([hi, _split(M - hi, s)])
+    scaled = bool(np.any(scale != 1.0))
+
+    def product(rows):
+        both = rows @ slices
+        out = both[:, :c]
+        out += both[:, c:]
+        if scaled:
+            out /= scale
+        return out
+
+    return product
 
 
 def _mean_deviations(s: HilbertSample, plan: BlockPlan):

@@ -5,7 +5,6 @@ output capture, so they are visible either way.  The heavy Monte Carlo
 criteria (8 and 9) dominate the runtime.
 """
 
-import json
 import math
 import subprocess
 import sys

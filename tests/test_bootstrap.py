@@ -39,7 +39,6 @@ from oracles import (
     all_block_selections,
     ar1_long_run_variance,
     discrete_law,
-    exact_bootstrap_mean_law,
     exact_centered_mean_law,
     ks_sample_vs_discrete,
 )

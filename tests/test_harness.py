@@ -4,6 +4,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import blockboot.harness as harness
@@ -21,6 +23,7 @@ from blockboot.harness import (
     run_experiment,
 )
 from blockboot.rng import derive_stream
+import oracles
 from oracles import ks_sample_vs_discrete
 
 
@@ -63,6 +66,86 @@ class TestKolmogorovDistances:
     def test_sample_vs_discrete_detects_shift(self):
         sample = np.array([0.0] * 50 + [1.0] * 50)
         assert ks_sample_vs_discrete(sample, [0.0, 1.0], [0.25, 0.75]) == pytest.approx(0.25)
+
+
+#: Samples of 1 to 60 points: spread floats, or few values with many ties
+#: (within a sample and, drawn twice, between two samples).
+KS_SAMPLES = st.one_of(
+    st.lists(st.floats(-0.5, 12.0), min_size=1, max_size=60),
+    st.lists(st.integers(0, 4).map(float), min_size=1, max_size=60),
+    st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]), min_size=1, max_size=60),
+)
+
+
+def _jitter(cdf):
+    """``cdf`` moved by +-1e-14 point by point: not monotone in its last bits."""
+    return lambda t: cdf(t) + np.where(np.sin(1e3 * np.asarray(t)) > 0, 1e-14, -1e-14)
+
+
+KS_CDFS = {
+    "uniform": lambda t: np.clip(t, 0.0, 1.0),
+    "chi2:1": harness._chi2_1_cdf,
+    "uniform-jittered": _jitter(lambda t: np.clip(t, 0.0, 1.0)),
+    "chi2:1-jittered": _jitter(harness._chi2_1_cdf),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=KS_SAMPLES, y=KS_SAMPLES)
+@example(x=[1.0], y=[1.0]).via("one point each, tied")
+@example(x=[0.0, 1.0], y=[5.0, 6.0]).via("disjoint")
+def test_two_sample_distance_is_the_all_points_distance(x, y):
+    expected = oracles.ks_two_sample(x, y)
+    assert ks_two_sample(x, y) == expected
+    assert ks_two_sample(y, x) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=KS_SAMPLES)
+@example(x=[0.5] * 17).via("one block and a point, all tied")
+@pytest.mark.parametrize("name", KS_CDFS)
+def test_cdf_distance_is_the_all_points_distance(name, x):
+    assert ks_sample_vs_cdf(x, KS_CDFS[name]) == oracles.ks_sample_vs_cdf(x, KS_CDFS[name])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(61, 3000), df=st.sampled_from([1, 2]))
+@pytest.mark.parametrize("name", ["chi2:1", "chi2:1-jittered"])
+def test_cdf_distance_skips_only_blocks_below_the_supremum(name, seed, n, df):
+    # Larger chi-square samples, near the reference law and off it, so that
+    # most blocks are skipped and which ones changes from sample to sample.
+    x = np.sum(derive_stream(seed).standard_normal((n, df)) ** 2, axis=1)
+    assert ks_sample_vs_cdf(x, KS_CDFS[name]) == oracles.ks_sample_vs_cdf(x, KS_CDFS[name])
+
+
+def test_cdf_distance_slack_covers_a_dip_in_the_last_bits():
+    # n = 32 points, blocks (0, 16) and (16, 31).  F is flat at 8/32 over the
+    # first block but dips by 1e-14 at point 15, so D+ there is 8/32 + 1e-14,
+    # above the block's bound 16/32 - F(0) = 8/32.  F(16) puts D+ at the
+    # block's end halfway between the two: only the slack opens the block.
+    q, dip = 1.0 / 32, 1e-14
+    table = np.concatenate([np.full(15, 8 * q), [8 * q - dip, 9 * q - dip / 2],
+                            (np.arange(17, 32) + 0.5) * q])
+    x = np.arange(32.0)
+
+    def cdf(t):
+        return table[np.asarray(t).astype(int)]
+
+    assert ks_sample_vs_cdf(x, cdf) == oracles.ks_sample_vs_cdf(x, cdf) == 16 * q - (8 * q - dip)
+
+
+def test_cdf_distance_evaluates_the_cdf_at_few_points():
+    # A work guard that times nothing: evaluating the CDF at every point is
+    # what the block bounds avoid.
+    x = derive_stream(20000, 1).standard_normal(20000) ** 2
+    evaluated = []
+
+    def counted(t):
+        evaluated.append(np.size(t))
+        return harness._chi2_1_cdf(t)
+
+    assert ks_sample_vs_cdf(x, counted) == oracles.ks_sample_vs_cdf(x, harness._chi2_1_cdf)
+    assert sum(evaluated) <= 0.25 * x.size
 
 
 class TestConfigValidation:

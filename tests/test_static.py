@@ -11,7 +11,8 @@ import blockboot
 from child_env import child_env
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "blockboot"
-ORACLES = pathlib.Path(__file__).resolve().parent / "oracles.py"
+TESTS = pathlib.Path(__file__).resolve().parent
+ORACLES = TESTS / "oracles.py"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 #: Marks the line above an import that exists only for perfbench/tracing.py to wrap.
@@ -48,7 +49,7 @@ def test_checker_flags_an_unused_import():
     assert unused_imports(source) == (["os"], ["y"])
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.glob("*.py")), ids=lambda path: path.stem)
 def test_every_import_is_read(path):
     unused, _ = unused_imports(path.read_text())
     assert unused == []
