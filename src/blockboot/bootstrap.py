@@ -170,7 +170,8 @@ def _count_product(M: np.ndarray):
     ``sum |row| * 2**(2s - 106) * max |column|``, plus half an ulp, of the
     exact product.  Both slices go through one GEMM, side by side.  A column
     within ``2**s`` of the float range is scaled by a power of two first and
-    back on the result, which overflows only where the product does.
+    back on the result, which overflows only where the product does; that
+    pass over the result is skipped when no column was scaled.
     """
     M = np.asarray(M, dtype=np.float64)
     c = M.shape[1]
