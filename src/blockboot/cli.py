@@ -5,7 +5,8 @@ Subcommands: ``generate``, ``bootstrap``, ``cvm-test``, ``vstat-test``,
 no timestamps, so a fixed seed yields byte-identical output across runs and
 thread counts.  Exit codes: 0 success, 2 configuration error (or a
 non-finite statistic or report value, or an input too large to allocate,
-such as more ``--replicates`` than fit in memory), 3 failure-policy breach in
+such as more ``--replicates`` than fit in memory or a ``--block-length`` so
+short that the block-pair sums exceed physical memory), 3 failure-policy breach in
 a Monte Carlo run, 4 the ``--workers`` process pool failed.  A report never
 holds ``NaN`` or ``Infinity``, and overflow in finite data near the float
 range ends in exit 2, or in a finite report, without numpy warnings.

@@ -34,4 +34,4 @@ class CvmSpecError(BlockbootError, ValueError):
 
 
 class ReplicateMemoryError(BlockbootError, MemoryError):
-    """The bootstrap replicates requested do not fit in memory."""
+    """The bootstrap replicates, or the block-pair sums they read, do not fit in memory."""

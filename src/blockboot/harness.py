@@ -21,7 +21,6 @@ import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import special
 
 from . import __version__
 from .bootstrap import (
@@ -242,6 +241,8 @@ def _chi2_1_cdf(x):
     """The chi-square CDF with one degree of freedom, the law of ``n V_n`` for the
     product kernel on standardized draws, ``n V_n = (sqrt(n) mean)^2``.  (``chdtr``
     is NaN below 0, where the CDF is 0.)"""
+    from scipy import special
+
     return special.chdtr(1, np.maximum(x, 0.0))
 
 

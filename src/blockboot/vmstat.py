@@ -25,6 +25,7 @@ is a max-profile V-statistic.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,12 +34,24 @@ import numpy as np
 from .bootstrap import BlockPlan, _count_product, bootstrap_test, stream_draws
 # Traced by perfbench/tracing.py.
 from .bootstrap import block_counts_per_replicate, empirical_quantile  # noqa: F401
-from .exceptions import ConfigError, CvmSpecError, NonFiniteStatisticError, PlanMismatchError
+from .exceptions import (
+    ConfigError,
+    CvmSpecError,
+    NonFiniteStatisticError,
+    PlanMismatchError,
+    ReplicateMemoryError,
+)
 from .hilbert import HilbertSample, trapezoid_weights
 from .rng import derive_stream
 
 #: Bytes of one float64 temporary in a tile of a kernel mesh.
 TILE_BYTES = 2**20
+
+#: Peak working set of a bootstrap through ``k x k`` block-pair sums, in
+#: float64 ``k x k`` arrays (``8 k^2`` bytes each): 6.00-6.02 under
+#: ``tracemalloc`` for kernel meshes, max profiles and the CvM test at p = 1
+#: and k = 1000 or 2000, where the ``O(n)`` and tile temporaries are negligible.
+GRAM_ARRAYS = 6
 
 _SYMMETRY_PROBES = 32
 _SYMMETRY_SEED = 0x5EED
@@ -153,6 +166,30 @@ def kernel_from_token(token: str) -> Kernel:
 def _tile_size(line: int) -> int:
     """How many float64 lines of length ``line`` fill one tile; at least one."""
     return max(1, TILE_BYTES // (8 * max(1, line)))
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, from ``os.sysconf``; unbounded where it cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def _require_gram_memory(k: int) -> None:
+    """Raise :class:`ReplicateMemoryError` unless a ``k x k`` Gram path fits in memory.
+
+    A kernel-mesh or max-profile bootstrap holds ``GRAM_ARRAYS`` float64
+    ``k x k`` arrays at its peak: the block-pair sums ``T`` and the arrays
+    :func:`blockboot.bootstrap._count_product` builds from them.
+    """
+    need = GRAM_ARRAYS * 8 * k * k
+    have = _physical_memory()
+    if need > have:
+        raise ReplicateMemoryError(
+            f"the block-pair sums of k={k} blocks need about {need / 2**20:.0f} MiB, more than "
+            f"the {have / 2**20:.0f} MiB of physical memory; use longer blocks"
+        )
 
 
 def _pair_sum(x: np.ndarray, h: Kernel) -> float:
@@ -327,6 +364,7 @@ def _mesh_sums(x: np.ndarray, plan: BlockPlan, h: Kernel) -> tuple[np.ndarray, f
     depends only on the symmetric part of ``T``.
     """
     k, p, kp = plan.k, plan.p, plan.kp
+    _require_gram_memory(k)
     blocks = _tile_size(p * x.size)
     U = np.empty((k, k))
     cross = []
@@ -353,21 +391,29 @@ def _max_block_gram(lead: np.ndarray, plan: BlockPlan, g) -> np.ndarray:
 
     ``T = A + A^T - diag(block sums of g)``, with ``A[a, b]`` the sum over ``i``
     in block ``a`` of ``g(x_i)`` times the points of block ``b`` sorted at or
-    before ``x_i``; built without BLAS in column tiles of ``TILE_BYTES``.
+    before ``x_i``; built without BLAS in column tiles of ``TILE_BYTES``.  A
+    tile of prefix counts is a running sum, in place, of ones at each point's
+    sorted position in its block's column.
     """
-    k, p = plan.k, plan.p
+    k, p, n = plan.k, plan.p, lead.size
+    _require_gram_memory(k)
     order = np.argsort(lead, kind="stable")
-    rank, block = np.argsort(order), order // p
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
     g_blocks = np.asarray(g(lead), dtype=np.float64).reshape(k, p)
     A = np.empty((k, k))
-    cols = _tile_size(lead.size)
+    cols = _tile_size(n)
     for b0 in range(0, k, cols):
+        b1 = min(b0 + cols, k)
         # Row r, column b: points of block b0 + b at sorted positions <= r.
-        prefix = np.cumsum(block[:, None] == np.arange(b0, min(b0 + cols, k)), axis=0,
-                           dtype=np.int32)
-        A[:, b0 : b0 + cols] = np.einsum("kpc,kp->kc", prefix[rank].reshape(k, p, -1), g_blocks,
-                                         optimize=False)
-    return A + A.T - np.diag(g_blocks.sum(axis=1))
+        prefix = np.zeros((n, b1 - b0), dtype=np.int32)
+        prefix[rank[b0 * p : b1 * p], np.arange(b1 - b0).repeat(p)] = 1
+        np.add.accumulate(prefix, axis=0, out=prefix)
+        A[:, b0:b1] = np.einsum("kpc,kp->kc", prefix[rank].reshape(k, p, -1), g_blocks,
+                                optimize=False)
+    T = A + A.T
+    T.flat[:: k + 1] -= g_blocks.sum(axis=1)
+    return T
 
 
 def _leading(s: HilbertSample, plan: BlockPlan) -> np.ndarray:

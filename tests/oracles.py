@@ -17,7 +17,9 @@ block counts instead:
 
 It also holds the Kolmogorov distances over every point,
 :func:`ks_two_sample` and :func:`ks_sample_vs_cdf`, which the harness
-evaluates only where the supremum can lie.
+evaluates only where the supremum can lie, and :func:`max_block_gram`, the
+max-profile Gram from cumulative sums of block-equality masks, which the
+package builds by a running sum in place.
 """
 
 from __future__ import annotations
@@ -201,3 +203,26 @@ def ks_sample_vs_cdf(x, cdf) -> float:
     d_plus = np.max(np.arange(1, n + 1) / n - values)
     d_minus = np.max(values - np.arange(0, n) / n)
     return float(max(d_plus, d_minus, 0.0))
+
+
+def max_block_gram(lead, p: int, g_values, cols: int) -> np.ndarray:
+    """``T[a, b] = sum_{i in B_a, j in B_b} g(max(x_i, x_j))`` for ``lead`` in blocks of ``p``.
+
+    ``T = A + A^T - diag(block sums of g)``, with ``A[a, b]`` the sum of
+    ``g(x_i)`` over ``i`` in block ``a`` times the points of block ``b`` that a
+    stable sort puts at or before ``x_i``.  ``A`` is built in tiles of ``cols``
+    columns, each an int32 cumulative sum of a block-equality mask over the
+    sorted points, contracted with ``g`` by ``np.einsum``.
+    """
+    lead = np.asarray(lead, dtype=np.float64)
+    k = lead.size // p
+    order = np.argsort(lead, kind="stable")
+    rank, block = np.argsort(order), order // p
+    g_blocks = np.asarray(g_values, dtype=np.float64).reshape(k, p)
+    A = np.empty((k, k))
+    for b0 in range(0, k, cols):
+        prefix = np.cumsum(block[:, None] == np.arange(b0, min(b0 + cols, k)), axis=0,
+                           dtype=np.int32)
+        A[:, b0 : b0 + cols] = np.einsum("kpc,kp->kc", prefix[rank].reshape(k, p, -1), g_blocks,
+                                         optimize=False)
+    return A + A.T - np.diag(g_blocks.sum(axis=1))

@@ -378,6 +378,24 @@ class TestInstalledEntryPoint:
             assert outputs["1"] == outputs["4"]
 
 
+    # scipy.special is loaded by the laws that need it (normal, Student t) when
+    # they are built, never by an import of the package.
+    @pytest.mark.parametrize("argv, loaded", [
+        (["bootstrap"], False),
+        (["cvm-test", "--dist", "uniform:-4,4"], False),
+        (["vstat-test", "--kernel", "product"], False),
+        (["cvm-test", "--dist", "normal"], True),
+    ], ids=["bootstrap", "cvm-uniform", "vstat-product", "cvm-normal"])
+    def test_only_the_laws_that_need_it_load_scipy_special(self, tmp_path, data_file, argv,
+                                                           loaded):
+        code = ("import sys\nfrom blockboot.cli import main\n"
+                "code = main(sys.argv[1:])\nprint(code, 'scipy.special' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code, *argv, "--data", data_file,
+                               "--replicates", "50", "--out", str(tmp_path / "out.json")],
+                              capture_output=True, text=True, env=child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", str(loaded)]
+
 # Flag values of each flag's own type, including non-finite, negative, zero,
 # tiny, huge and out-of-range ones.
 FUZZ_N = 40
@@ -647,6 +665,27 @@ def test_unallocatable_input_exits_2_with_one_error_line(tmp_path, monkeypatch, 
     assert len(err) == 1 and err[0].startswith("error:") and "1000000000000" in err[0]
     assert not out.exists()
 
+
+@pytest.mark.parametrize("argv", [["vstat-test", "--kernel", "gaussian:1.0"],
+                                  ["vstat-test", "--kernel", "cvm:normal"],
+                                  ["cvm-test", "--dist", "normal"]],
+                         ids=["mesh", "max-profile", "cvm-test"])
+def test_block_pair_sums_beyond_physical_memory_exit_2_with_one_error_line(
+        tmp_path, monkeypatch, data_file, capsys, argv):
+    import blockboot.vmstat as vmstat
+
+    # 200 observations in blocks of one: k = 200.
+    need = vmstat.GRAM_ARRAYS * 8 * 200**2
+    out = tmp_path / "out.json"
+    argv = [*argv, "--data", data_file, "--block-length", "1", "--replicates", "20",
+            "--out", str(out)]
+    monkeypatch.setattr(vmstat, "_physical_memory", lambda: need - 1)
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "k=200 blocks" in err[0]
+    assert not out.exists()
+    monkeypatch.setattr(vmstat, "_physical_memory", lambda: need)
+    assert run_cli(*argv) == 0 and out.exists()
 
 # Generated INI files: a file of each key's own tokens (some out of range),
 # then up to three faults: a key dropped or set to a token of any type, a

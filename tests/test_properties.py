@@ -56,6 +56,7 @@ from oracles import (
     bootstrap_mean_statistic,
     bootstrap_v_statistic,
     draw_bootstrap_sample,
+    max_block_gram,
 )
 
 SEEDS = st.integers(0, 2**64 - 1)
@@ -174,6 +175,32 @@ def test_half_mesh_walk_matches_full_mesh_sums(sp, tile_blocks, bandwidth):
                 for a in range(plan.k)]
     np.testing.assert_allclose(T, expected, rtol=1e-12, atol=0)
     assert total == pytest.approx(math.fsum(mesh.ravel()), rel=1e-12)
+
+
+@st.composite
+def gram_inputs(draw):
+    """Points in blocks, ``k = 1`` and ``p = 1`` included, spread or tie-heavy."""
+    k = draw(st.integers(1, 40))
+    p = draw(st.integers(1, 6) if k > 1 else st.integers(1, 60))
+    seed = draw(SEEDS)
+    x = derive_stream(seed).standard_normal(k * p)
+    if draw(st.booleans()):
+        x = np.round(x * draw(st.sampled_from([0.5, 2.0]))) / 2.0
+    return x, BlockPlan(n=k * p, p=p), draw(st.integers(1, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=gram_inputs())
+def test_max_block_gram_is_the_cumsum_form(inputs):
+    # The running sums in place count the same integers as a cumsum of
+    # block-equality masks, so the Gram is bitwise the same, for any tile width.
+    x, plan, cols = inputs
+    g = lambda t: -np.tanh(t) + 0.1 * t
+    with mock.patch.object(vmstat, "TILE_BYTES", 8 * x.size * cols):
+        assert vmstat._tile_size(x.size) == cols
+        T = vmstat._max_block_gram(x, plan, g)
+    expected = max_block_gram(x, plan.p, g(x), cols)
+    assert T.tobytes() == expected.tobytes()
 
 
 PRODUCT_MESH = Kernel("product-mesh", eval=lambda x, y: x * y)

@@ -21,7 +21,12 @@ from blockboot import (
     v_statistic,
     vstat_test,
 )
-from blockboot.exceptions import ConfigError, CvmSpecError, NonFiniteStatisticError
+from blockboot.exceptions import (
+    ConfigError,
+    CvmSpecError,
+    NonFiniteStatisticError,
+    ReplicateMemoryError,
+)
 from blockboot.rng import derive_stream
 from blockboot.vmstat import (
     cvm_bootstrap_evaluator,
@@ -330,6 +335,57 @@ class TestBootstrapVStatistic:
         finally:
             tracemalloc.stop()
         assert peak < limit
+
+
+def gram_paths(s, plan):
+    """The three bootstrap paths through ``k x k`` block-pair sums, as thunks."""
+    spec = make_cvm_spec(lambda t: np.clip(t / 8.0 + 0.5, 0.0, 1.0), (-4.0, 4.0), sample=s)
+    return {
+        "mesh": lambda: vstat_test(s, gaussian_kernel(1.0), plan, B=20, seed=3, level=0.05),
+        "max-profile": lambda: vstat_test(s, kernel_from_token("cvm:uniform:-4,4"), plan, B=20,
+                                          seed=3, level=0.05),
+        "cvm-test": lambda: cvm_test(s, spec, plan, B=20, seed=3, level=0.05),
+    }
+
+
+def traced_peak(run):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGramMemory:
+    @pytest.mark.parametrize("path", ["mesh", "max-profile", "cvm-test"])
+    def test_working_set_is_the_documented_multiple_of_k_squared(self, path):
+        import blockboot.vmstat as vm
+
+        s = scalar_sample(derive_stream(73).uniform(-4.0, 4.0, 1000))
+        run = gram_paths(s, BlockPlan(n=1000, p=1))[path]
+        square = 8 * 1000**2
+        assert (vm.GRAM_ARRAYS - 1) * square < traced_peak(run) <= 1.02 * vm.GRAM_ARRAYS * square
+
+    @pytest.mark.parametrize("path", ["mesh", "max-profile", "cvm-test"])
+    def test_paths_beyond_physical_memory_raise_before_any_k_by_k_array(self, monkeypatch, path):
+        import blockboot.vmstat as vm
+
+        n = 1200
+        s = scalar_sample(derive_stream(74).uniform(-4.0, 4.0, n))
+        run = gram_paths(s, BlockPlan(n=n, p=1))[path]
+        need = vm.GRAM_ARRAYS * 8 * n * n
+        monkeypatch.setattr(vm, "_physical_memory", lambda: need - 1)
+
+        def refused():
+            with pytest.raises(ReplicateMemoryError, match="k=1200 blocks need about 66 MiB"):
+                run()
+
+        assert traced_peak(refused) < 8 * n * n
+        monkeypatch.setattr(vm, "_physical_memory", lambda: need)
+        run()
 
 
 class TestEmpiricalCdf:
