@@ -15,7 +15,6 @@ range ends in exit 2, or in a finite report, without numpy warnings.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from concurrent.futures import BrokenExecutor
 
@@ -35,7 +34,7 @@ from .dists import distribution_from_token
 from .exceptions import BlockbootError, ConfigError
 from .generators import generate_functional, generate_real
 from .harness import run_experiment
-from .io import read_sample, write_sample
+from .io import json_text, read_sample, write_sample
 from .vmstat import (
     cvm_test,
     degeneracy_diagnostic,
@@ -48,9 +47,9 @@ _QUANTILES = (0.5, 0.9, 0.95, 0.99)
 
 
 def _write_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, allow_nan=False)  # ValueError on nan or inf
+    text = json_text(payload)  # ValueError on nan or inf, before the file opens
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
 
 
 def _plan_from_args(n: int, args) -> BlockPlan:

@@ -24,12 +24,7 @@ SCHEMA = 1
 
 
 def _to_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]  # KeyError: not a boolean
 
 
 def _to_coefficients(raw: str) -> tuple:
@@ -61,7 +56,8 @@ def _read(path: str) -> configparser.ConfigParser:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     except configparser.Error as exc:
-        raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
+        # configparser's messages span lines; the CLI prints one error line.
+        raise ConfigError(f"malformed config file {path!r}: {exc}".replace("\n", " ")) from exc
     return parser
 
 
@@ -100,7 +96,7 @@ def _convert(section, table: dict) -> dict:
             raw = section.get(key).strip()
             try:
                 values[key] = conv(raw)
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, KeyError) as exc:
                 raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
     return values
 

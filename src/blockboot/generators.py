@@ -82,6 +82,9 @@ class ProcessConfig:
         Seed of the derived stream used when no explicit generator is given.
     burn_in : int
         Steps discarded before recording, for the recursive kinds.
+
+    ``phi``, ``t_df`` and ``coefficients`` must be finite for every kind,
+    also where the kind does not use them.
     """
 
     kind: str
@@ -98,17 +101,17 @@ class ProcessConfig:
             raise ConfigError(f"unknown process kind {self.kind!r}")
         if self.innovation not in INNOVATIONS:
             raise ConfigError(f"unknown innovation {self.innovation!r}")
+        coeffs = tuple(float(c) for c in self.coefficients)
+        if not all(math.isfinite(v) for v in (self.phi, self.t_df, *coeffs)):
+            raise ConfigError(f"phi, t_df and coefficients must be finite, got phi={self.phi}, "
+                              f"t_df={self.t_df}, coefficients={coeffs}")
         if self.kind.startswith("ar1") and not abs(self.phi) < 1.0:
             raise ConfigError(f"AR coefficient must satisfy |phi| < 1, got {self.phi}")
-        coeffs = tuple(float(c) for c in self.coefficients)
-        if self.kind == "linear-real":
-            if len(coeffs) == 0:
-                raise ConfigError("linear-real needs at least one coefficient")
-            if not all(math.isfinite(c) for c in coeffs):
-                raise ConfigError("linear coefficients must be finite")
+        if self.kind == "linear-real" and len(coeffs) == 0:
+            raise ConfigError("linear-real needs at least one coefficient")
         object.__setattr__(self, "coefficients", coeffs)
-        if self.innovation == "student-t" and not 4.0 < self.t_df < math.inf:
-            raise ConfigError(f"student-t innovations need finite df above 4, got {self.t_df}")
+        if self.innovation == "student-t" and not 4.0 < self.t_df:
+            raise ConfigError(f"student-t innovations need df above 4, got {self.t_df}")
         if self.basis_size < 1:
             raise ConfigError("basis_size must be at least 1")
         if self.burn_in < 0:

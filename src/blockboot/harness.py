@@ -15,7 +15,6 @@ parallelizing replications cannot change any individual record.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 from dataclasses import asdict, dataclass
@@ -37,6 +36,7 @@ from .dists import Distribution, distribution_from_token, normal, standardized_u
 from .exceptions import ConfigError
 from .generators import ProcessConfig, generate_functional, generate_real
 from .hilbert import HilbertSample
+from .io import json_text
 from .rng import derive_stream
 from .vmstat import (
     cvm_bootstrap_evaluator,
@@ -402,7 +402,7 @@ class ExperimentReport:
         }
 
     def report_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json_text(self.to_dict())
 
     def records_csv(self) -> str:
         columns = ("replication", "observed", "critical_value", "reject",
@@ -422,13 +422,13 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
     def write(self, out_dir: str) -> None:
+        """Write the three files; a report that is not finite JSON raises before any is made."""
+        texts = {"report.json": self.report_json(), "records.csv": self.records_csv(),
+                 "summary.csv": self.summary_csv()}
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.json"), "w", encoding="ascii") as fh:
-            fh.write(self.report_json())
-        with open(os.path.join(out_dir, "records.csv"), "w", encoding="ascii") as fh:
-            fh.write(self.records_csv())
-        with open(os.path.join(out_dir, "summary.csv"), "w", encoding="ascii") as fh:
-            fh.write(self.summary_csv())
+        for name, text in texts.items():
+            with open(os.path.join(out_dir, name), "w", encoding="ascii") as fh:
+                fh.write(text)
 
 
 def aggregates_from_records(family: str, records: list[ReplicationRecord],

@@ -153,9 +153,7 @@ class HilbertSample:
             raise ValueError("values must be finite")
         object.__setattr__(self, "grid", _frozen(grid))
         object.__setattr__(self, "weights", _frozen(weights))
-        values = np.array(values, copy=True)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _frozen(values))
 
     @classmethod
     def from_scalars(cls, x) -> "HilbertSample":
@@ -188,11 +186,14 @@ def same_space(a, b) -> bool:
     return np.array_equal(a.grid, b.grid) and np.array_equal(a.weights, b.weights)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def inner_product(f: GridFunction, g: GridFunction) -> float:
     """Weighted dot product ``sum_j f_j g_j w_j`` of two grid functions.
 
     Symmetric and bilinear; raises :class:`DomainMismatchError` when the
-    operands do not share grid and weights.
+    operands do not share grid and weights.  Products of finite values that
+    overflow give ``inf`` (or ``nan`` where infinities cancel) without a
+    numpy warning.
     """
     if not same_space(f, g):
         raise DomainMismatchError("operands live on different grids or weights")
@@ -200,8 +201,8 @@ def inner_product(f: GridFunction, g: GridFunction) -> float:
 
 
 def norm(f: GridFunction) -> float:
-    """The induced norm ``sqrt(<f, f>)``."""
-    return float(np.sqrt(max(np.sum(f.values * f.values * f.weights), 0.0)))
+    """The induced norm ``sqrt(<f, f>)``; ``inf`` where the squares overflow."""
+    return float(np.sqrt(inner_product(f, f)))
 
 
 @np.errstate(over="ignore", invalid="ignore")

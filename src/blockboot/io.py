@@ -1,4 +1,4 @@
-"""CSV ingestion and emission for samples of grid functions.
+"""CSV ingestion and emission for samples of grid functions, and the JSON text of reports.
 
 Data file: one row per observation, columns are the function values at the
 grid points, no header.  Sidecar file: header ``grid,w`` followed by one row
@@ -16,6 +16,7 @@ the 1-based line of the file.
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -74,6 +75,14 @@ def _parse_rows(lines: list[str], path: str, first: int = 1) -> np.ndarray:
         number = [i for i, line in enumerate(lines, first) if line][np.argmin(finite)]
         raise ValueError(f"{path}:{number}: non-finite value")
     return table
+
+
+def json_text(payload: dict) -> str:
+    """A report as indented JSON text; :class:`ValueError` on ``NaN`` or ``Infinity``.
+
+    Every report is serialized here, before its file is opened.
+    """
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def write_sample(sample: HilbertSample, data_path: str, sidecar_path: str | None = None,

@@ -38,10 +38,9 @@ from .exceptions import (
     ConfigError,
     CvmSpecError,
     NonFiniteStatisticError,
-    PlanMismatchError,
     ReplicateMemoryError,
 )
-from .hilbert import HilbertSample, trapezoid_weights
+from .hilbert import HilbertSample, _frozen, trapezoid_weights
 from .rng import derive_stream
 
 #: Bytes of one float64 temporary in a tile of a kernel mesh.
@@ -285,15 +284,9 @@ class CvmSpec:
             raise CvmSpecError("cdf values must lie in [0, 1]")
         if grid.size > 1 and np.any(np.diff(values) < -1e-12):
             raise CvmSpecError("cdf must be nondecreasing on the grid")
-        grid = grid.copy()
-        grid.setflags(write=False)
-        weights = weights.copy()
-        weights.setflags(write=False)
-        values = np.clip(values, 0.0, 1.0)
-        values.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "cdf_values", values)
+        object.__setattr__(self, "grid", _frozen(grid))
+        object.__setattr__(self, "weights", _frozen(weights))
+        object.__setattr__(self, "cdf_values", _frozen(np.clip(values, 0.0, 1.0)))
 
 
 def make_cvm_spec(cdf, support: tuple[float, float], weight_fn=None,
@@ -418,10 +411,8 @@ def _max_block_gram(lead: np.ndarray, plan: BlockPlan, g) -> np.ndarray:
 
 def _leading(s: HilbertSample, plan: BlockPlan) -> np.ndarray:
     """The first ``kp`` scalars of ``s``, which the bootstrap resamples."""
-    x = s.scalars()
-    if x.size < plan.kp:
-        raise PlanMismatchError(f"sample is shorter than kp={plan.kp}")
-    return x[: plan.kp]
+    plan.require_sample(s)
+    return s.scalars()[: plan.kp]
 
 
 def _gram_evaluator(T: np.ndarray, kp: int):
@@ -526,6 +517,5 @@ def vstat_test(s: HilbertSample, h: Kernel, plan: BlockPlan, B: int, seed: int,
 def cvm_test(s: HilbertSample, spec: CvmSpec, plan: BlockPlan, B: int, seed: int,
              level: float) -> dict:
     """Bootstrap goodness-of-fit test based on ``n`` times the CvM distance."""
-    plan.require_sample(s)
     return bootstrap_test(s.n * cvm_statistic(s, spec), cvm_bootstrap_evaluator(s, plan, spec),
                           level, B, stream_draws(plan, B, seed))

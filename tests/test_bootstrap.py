@@ -32,7 +32,7 @@ from blockboot.exceptions import (
     UnsupportedStatisticError,
 )
 from blockboot.generators import ProcessConfig, generate_real
-from blockboot.hilbert import GridFunction, sample_mean
+from blockboot.hilbert import GridFunction, inner_product, norm, sample_mean
 from blockboot.rng import derive_stream
 from blockboot.vmstat import degeneracy_diagnostic, product_kernel, v_statistic, vstat_test
 from oracles import (
@@ -294,8 +294,11 @@ class TestBootstrapDistribution:
         # are what numpy's overflow gives, with no warning printed.
         s = scalar_sample([1e308, 1e308, -1e308, -1e308, 1.0, 2.0])
         h = product_kernel()
+        f = GridFunction(s.grid, [1e200], s.weights)
         calls = [
             (lambda: v_statistic(s, h), math.inf),
+            (lambda: norm(f), math.inf),
+            (lambda: inner_product(f, f), math.inf),
             (lambda: degeneracy_diagnostic(s, h, [1e308, 1.0]),
              (NonFiniteStatisticError, "degeneracy diagnostic is nan")),
             (lambda: sample_mean(s), (ValueError, "values must be finite")),

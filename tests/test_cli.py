@@ -253,6 +253,21 @@ class TestNonFiniteParameters:
         assert len(err) == 1 and err[0].startswith("error:") and "normal scale" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["phi = nan", "t_df = inf", "coefficients = 1, nan"])
+    def test_montecarlo_non_finite_process_value_exits_2_at_load(self, tmp_path, monkeypatch,
+                                                                 capsys, line):
+        def replicate(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(harness, "_safe_replicate", replicate)
+        config = tmp_path / "exp.ini"
+        config.write_text(EXPERIMENT_INI + line + "\n")
+        out = tmp_path / "mc"
+        assert run_cli("montecarlo", "--config", str(config), "--out", str(out)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: phi, t_df and coefficients must be finite")
+        assert not out.exists()
+
 
 class TestMonteCarloCommand:
     def test_outputs_and_determinism(self, tmp_path):
@@ -650,6 +665,37 @@ def test_default_section_exits_2_with_one_error_line(tmp_path, capsys, command, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("generate", PROCESS_INI.replace("kind = ar1-real\n", ""), "[process] needs a 'kind'"),
+    ("montecarlo", EXPERIMENT_INI.replace("kind = iid\n", ""), "[process] needs a 'kind'"),
+    ("montecarlo", EXPERIMENT_INI.replace("statistic = mean-norm", "statistic = two-sample-mean")
+     + "\n[process_y]\ninnovation = uniform\n", "[process_y] needs a 'kind'"),
+    ("generate", FUNCTIONAL_INI.replace("points = 12\n", ""), "[grid] needs 'points'"),
+    *[("montecarlo", "".join(line for line in EXPERIMENT_INI.splitlines(keepends=True)
+                             if not line.startswith(key + " ")), f"[experiment] needs {key!r}")
+      for key in ("statistic", "n", "replicates", "replications", "level", "master_seed")],
+    ("generate", None, "cannot read config file"),
+    ("montecarlo", None, "cannot read config file"),
+    ("generate", "kind = iid\n", "malformed config file"),
+    ("generate", PROCESS_INI + "burn_in\n", "malformed config file"),
+    ("montecarlo", EXPERIMENT_INI + "[process]\n", "malformed config file"),
+], ids=["generate-kind", "montecarlo-kind", "montecarlo-process_y-kind", "generate-points",
+        "statistic", "n", "replicates", "replications", "level", "master_seed",
+        "generate-unreadable", "montecarlo-unreadable", "generate-no-section-header",
+        "generate-line-without-value", "montecarlo-duplicate-section"])
+def test_config_file_errors_exit_2_with_one_error_line(tmp_path, capsys, command, text,
+                                                       message):
+    config = tmp_path / "config.ini"
+    if text is not None:
+        config.write_text(text)
+    out = tmp_path / "out"
+    extra = ["--n", "20"] if command == "generate" else []
+    assert run_cli(command, "--config", str(config), *extra, "--out", str(out)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    assert not out.exists()
+
+
 def test_unallocatable_input_exits_2_with_one_error_line(tmp_path, monkeypatch, process_file,
                                                          capsys):
     import blockboot.cli as cli
@@ -785,6 +831,8 @@ def test_fuzzed_config_files_exit_0_2_or_3_with_one_error_line(tmp_path_factory,
     if code:
         assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
     assert out.exists() == (code in (0, 3))
+    if code in (0, 3) and command == "montecarlo":
+        strict_json((out / "report.json").read_text())
 
 
 @pytest.mark.parametrize("command, text, message", [

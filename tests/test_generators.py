@@ -14,6 +14,7 @@ from oracles import ar1_long_run_variance
 
 
 GRID = np.linspace(0.0, 1.0, 16)
+NON_FINITE = "phi, t_df and coefficients must be finite"
 
 
 class TestConfigValidation:
@@ -28,6 +29,28 @@ class TestConfigValidation:
     def test_student_t_needs_heavy_df(self):
         with pytest.raises(ConfigError):
             ProcessConfig(kind="iid", innovation="student-t", t_df=4.0)
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(kind="iid", phi=math.nan), NON_FINITE),
+        (dict(kind="linear-real", phi=math.inf), NON_FINITE),
+        (dict(kind="ar1-real", phi=math.nan), NON_FINITE),
+        (dict(kind="iid", t_df=math.inf), NON_FINITE),
+        (dict(kind="ar1-functional", t_df=-math.inf), NON_FINITE),
+        (dict(kind="iid", innovation="student-t", t_df=math.nan), NON_FINITE),
+        (dict(kind="iid", coefficients=(1.0, math.nan)), NON_FINITE),
+        (dict(kind="linear-real", coefficients=(math.inf,)), NON_FINITE),
+        (dict(kind="linear-real", coefficients=()), "linear-real needs at least one coefficient"),
+        (dict(kind="ar1-functional", basis_size=0), "basis_size must be at least 1"),
+        (dict(kind="ar1-real", burn_in=-1), "burn_in must be nonnegative"),
+        (dict(kind="iid", seed=-1), "seed must be an unsigned 64-bit integer"),
+        (dict(kind="iid", seed=2**64), "seed must be an unsigned 64-bit integer"),
+    ], ids=["iid-phi-nan", "linear-phi-inf", "ar1-phi-nan", "iid-t_df-inf",
+            "functional-t_df-neg-inf", "student-t-t_df-nan", "iid-coefficient-nan",
+            "linear-coefficient-inf", "linear-no-coefficients", "basis_size", "burn_in",
+            "seed-negative", "seed-2**64"])
+    def test_invalid_values_rejected(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            ProcessConfig(**overrides)
 
     def test_kind_and_generator_must_agree(self):
         with pytest.raises(ConfigError):

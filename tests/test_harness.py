@@ -190,6 +190,31 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             build()
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: mean_config(n=0), "n must be at least 1"),
+        (lambda: mean_config(replicates=0), r"replicates \(B\) and replications \(M\)"),
+        (lambda: mean_config(replications=0), r"replicates \(B\) and replications \(M\)"),
+        (lambda: mean_config(level=1.0), r"level must lie in \(0, 1\), got 1.0"),
+        (lambda: mean_config(level=0.0), r"level must lie in \(0, 1\), got 0.0"),
+        (lambda: mean_config(master_seed=-1), "master_seed must be an unsigned 64-bit integer"),
+        (lambda: mean_config(master_seed=2**64), "master_seed must be an unsigned 64-bit integer"),
+        (lambda: mean_config(block_length=None, exponent=1.0),
+         r"exponent must lie in \(0, 1\), got 1.0"),
+        (lambda: mean_config(process_y=ProcessConfig(kind="iid")),
+         "process_y only applies to two-sample-mean"),
+        (lambda: mean_config(statistic="two-sample-mean", process_y=ProcessConfig(
+            kind="ar1-functional")), "the two processes must live in the same space"),
+        (lambda: mean_config(statistic="vstat"), "vstat statistic needs a kernel"),
+        (lambda: mean_config().kernel_token, "only vstat statistics carry a kernel"),
+        (lambda: GridSpec(points=0), "grid needs at least one point"),
+        (lambda: GridSpec(points=2, lo=1.0, hi=1.0), "grid endpoints must satisfy lo < hi"),
+    ], ids=["n", "replicates", "replications", "level-1", "level-0", "master_seed-negative",
+            "master_seed-2**64", "exponent", "process_y-mean-norm", "process_y-space",
+            "vstat-no-kernel", "kernel_token-mean-norm", "grid-points", "grid-lo-hi"])
+    def test_out_of_range_values_rejected(self, build, message):
+        with pytest.raises(ConfigError, match=message):
+            build()
+
 
 class TestResolveNull:
     def test_iid_gaussian(self):
@@ -534,6 +559,14 @@ class TestReportSerialization:
         report.write(str(tmp_path))
         for name in ("report.json", "records.csv", "summary.csv"):
             assert (tmp_path / name).exists()
+
+    def test_non_finite_report_raises_before_any_file_is_made(self, tmp_path):
+        report = run_experiment(mean_config(replications=3))
+        report.aggregates["coverage"] = float("nan")
+        out = tmp_path / "mc"
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            report.write(str(out))
+        assert not out.exists()
 
     def test_aggregates_helper_handles_all_failed(self):
         records = [ReplicationRecord(replication=0, failed=True, error="x")]

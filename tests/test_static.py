@@ -90,6 +90,29 @@ def test_count_products_go_through_one_helper():
     assert einsum_calls((PACKAGE / "vmstat.py").read_text(), {"_max_block_gram"}) == []
 
 
+def json_dump_calls(source: str) -> list[tuple[int, bool]]:
+    """``(line, strict)`` of each ``json.dump``/``json.dumps`` call; strict: ``allow_nan=False``."""
+    return sorted((call.lineno, any(kw.arg == "allow_nan" and isinstance(kw.value, ast.Constant)
+                                    and kw.value.value is False for kw in call.keywords))
+                  for call in ast.walk(ast.parse(source))
+                  if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                  and call.func.attr in ("dump", "dumps")
+                  and isinstance(call.func.value, ast.Name) and call.func.value.id == "json")
+
+
+def test_checker_flags_json_dump_calls():
+    source = ("import json\ndef f(x, fh):\n    json.dump(x, fh)\n"
+              "    return json.dumps(x, indent=2, allow_nan=False)\n"
+              "text = json.dumps({}, allow_nan=True) + pickle.dumps(0)\n")
+    assert json_dump_calls(source) == [(3, False), (4, True), (5, False)]
+
+
+def test_reports_are_serialized_at_one_strict_call():
+    # io.json_text is the one place a report becomes JSON, and it refuses NaN and Infinity.
+    calls = {path.stem: json_dump_calls(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert [(stem, strict) for stem, found in calls.items() for _, strict in found] == [("io", True)]
+
+
 def module_level(tree: ast.AST):
     """The nodes of ``tree`` that run when the module is imported: none inside a function body."""
     stack = [tree]

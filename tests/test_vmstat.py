@@ -25,6 +25,7 @@ from blockboot.exceptions import (
     ConfigError,
     CvmSpecError,
     NonFiniteStatisticError,
+    PlanMismatchError,
     ReplicateMemoryError,
 )
 from blockboot.rng import derive_stream
@@ -229,6 +230,13 @@ class TestBootstrapVStatistic:
         for row, value in zip(idx, evaluator(counts)):
             slow = plan.kp * bootstrap_v_statistic(x, assemble(x, plan.p, row), kern.eval)
             assert value == pytest.approx(slow, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [100, 50])
+    @pytest.mark.parametrize("token", ["product", "gaussian:1.0", "cvm:normal"])
+    def test_sample_of_another_length_is_refused(self, token, n):
+        s = scalar_sample(derive_stream(59).standard_normal(n))
+        with pytest.raises(PlanMismatchError, match=f"plan is for n=60, sample has n={n}"):
+            vstat_bootstrap_evaluator(s, BlockPlan(n=60, p=4), kernel_from_token(token))
 
     def test_tiled_block_pair_sums_match_dense(self, monkeypatch):
         import blockboot.vmstat as vm
@@ -519,6 +527,12 @@ class TestBootstrapCvmStatistic:
             slow = bootstrap_cvm_statistic(data, assemble(data, plan.p, row), spec.grid,
                                            spec.weights)
             assert value == pytest.approx(slow, rel=1e-10, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [100, 50])
+    def test_sample_of_another_length_is_refused(self, n):
+        s = scalar_sample(derive_stream(64).uniform(0, 1, n))
+        with pytest.raises(PlanMismatchError, match=f"plan is for n=60, sample has n={n}"):
+            cvm_bootstrap_evaluator(s, BlockPlan(n=60, p=4), self._uniform_spec(s))
 
     def test_cvm_test_memory_is_bounded(self):
         import tracemalloc
