@@ -7,7 +7,8 @@ section is read through one key
 table mapping every accepted key to its converter: unknown keys are rejected
 so typos cannot silently fall back to defaults, and an absent key takes the
 default of :class:`ProcessConfig`, :class:`GridSpec` or
-:class:`ExperimentConfig`.  Values are read literally (no ``%``
+:class:`ExperimentConfig`.  A process setting that its kind does not read
+is refused too.  Values are read literally (no ``%``
 interpolation), and ``[DEFAULT]`` is an unknown section like any other.
 See the README for the documented key set.
 """
@@ -36,6 +37,15 @@ def _to_coefficients(raw: str) -> tuple:
 _PROCESS = {
     "schema": None, "kind": str.strip, "phi": float, "coefficients": _to_coefficients,
     "basis_size": int, "innovation": str.strip, "t_df": float, "seed": int, "burn_in": int,
+}
+# The process kinds that read a setting; a file that sets it for another
+# kind is refused.  ``t_df`` is read by student-t innovations only.
+_READ_BY = {
+    "phi": ("ar1-real", "ar1-functional"),
+    "coefficients": ("linear-real",),
+    "basis_size": ("ar1-functional",),
+    "innovation": ("iid", "ar1-real", "linear-real", "ar1-functional"),
+    "burn_in": ("ar1-real", "ar1-functional", "doubling-map-functional"),
 }
 _GRID = {"points": int, "lo": float, "hi": float, "weight": float}
 _EXPERIMENT = {
@@ -105,7 +115,13 @@ def parse_process_section(section, where: str = "process") -> ProcessConfig:
     _check_keys(section, _PROCESS, where)
     if "kind" not in section:
         raise ConfigError(f"[{where}] needs a 'kind'")
-    return ProcessConfig(**_convert(section, _PROCESS))
+    process = ProcessConfig(**_convert(section, _PROCESS))
+    for key, kinds in _READ_BY.items():
+        if key in section and process.kind not in kinds:
+            raise ConfigError(f"[{where}] {key!r} has no effect for kind {process.kind!r}")
+    if "t_df" in section and process.innovation != "student-t":
+        raise ConfigError(f"[{where}] 't_df' has no effect without innovation = student-t")
+    return process
 
 
 def _grid(parser) -> GridSpec | None:

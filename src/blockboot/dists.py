@@ -1,10 +1,12 @@
 """Reference distributions for goodness-of-fit nulls and report baselines.
 
-Closed forms over ``scipy.special``, in the operations of ``scipy.stats`` 1.17:
-its CDFs and densities bit for bit, without loading ``scipy.stats``.  The
-normal and Student-t laws import ``scipy.special`` (66 scipy modules, ~23 MB)
-when they are built, and their closures keep it, so no call imports it
-again; the uniform laws never load it.
+Closed forms in the operations of ``scipy.stats`` 1.17: its CDFs and densities
+bit for bit, without loading ``scipy.stats``.  The normal CDF is Cephes
+``ndtr`` (Moshier, *Methods and Programs for Mathematical Functions*, 1989)
+written out over numpy, which is what ``scipy.special.ndtr`` evaluates, so
+the normal and uniform laws load no scipy module.  The Student-t law imports
+``scipy.special`` (66 scipy modules, ~23 MB) for ``stdtr`` and ``poch`` when
+it is built, and its closures keep it, so no call imports it again.
 """
 
 from __future__ import annotations
@@ -36,16 +38,99 @@ class Distribution:
     weight_fn: Callable | None
 
 
+# Cephes ndtr.c (Moshier 1989), the code of scipy.special.ndtr: erf(x) =
+# x T(x^2) / U(x^2) for |x| <= 1; erfc(x) = exp(-x^2) P(x) / Q(x) for
+# 1 <= x < 8 and exp(-x^2) R(x) / S(x) beyond.  The leading coefficient 1
+# of each denominator (Cephes p1evl) is implicit.
+_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+      7.00332514112805075473E3, 5.55923013010394962768E4)
+_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+      2.26290000613890934246E4, 4.92673942608635921086E4)
+_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+      4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+      9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+      9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+      1.65666309194161350182E3, 5.57535340817727675546E2)
+_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+      6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+      1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_MAXLOG = 7.09782712893383996843E2  # log(DBL_MAX): exp(-x^2) is 0 past it
+_SQRTH = 0.70710678118654752440  # sqrt(1/2)
+
+
+def _horner_rows(num: tuple, den: tuple) -> np.ndarray:
+    """Coefficients of Cephes ``polevl(x, num)`` and ``p1evl(x, den)`` as the
+    ``(size, 2, 1)`` rows of one Horner pass.  The shorter one is led by
+    zeros: ``0 x + c = c`` exactly for finite ``x``, as is ``1 x = x``, so
+    every step rounds as in Cephes."""
+    den = (1.0, *den)
+    size = max(len(num), len(den))
+    rows = [(0.0,) * (size - len(c)) + tuple(c) for c in (num, den)]
+    return np.array(rows).T[:, :, None]
+
+
+_TU, _PQ, _RS = _horner_rows(_T, _U), _horner_rows(_P, _Q), _horner_rows(_R, _S)
+
+
+def _horner(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Numerator and denominator of a Cephes ratio at finite ``x``, as the two rows of a ``(2, m)`` array."""
+    y = rows[0] * x
+    for c in rows[1:-1]:
+        y += c
+        y *= x
+    y += rows[-1]
+    return y
+
+
+def _erfc_far(z: np.ndarray) -> np.ndarray:
+    """Cephes ``erfc(z)`` for ``z >= 1``: 0 where ``exp(-z^2)`` underflows."""
+    out = np.zeros_like(z)
+    live = ~(z * z > _MAXLOG)
+    z = z[live]
+    # The C library's exp, through cexp: numpy's own float64 exp is a bit off on ~5% of points.
+    e = np.exp((-z * z).astype(np.complex128)).real
+    mid = z < 8.0
+    if mid.all():
+        pq = _horner(z, _PQ)
+    else:
+        pq = np.empty((2, z.size))
+        pq[:, mid], pq[:, ~mid] = _horner(z[mid], _PQ), _horner(z[~mid], _RS)
+    out[live] = e * pq[0] / pq[1]
+    return out
+
+
+def _ndtr(a) -> np.ndarray:
+    """The standard normal CDF at ``a``, bit for bit ``scipy.special.ndtr`` (Cephes).
+
+    With ``x = a sqrt(1/2)``: ``0.5 + 0.5 erf(x)`` for ``|x| < sqrt(1/2)``,
+    else ``0.5 erfc(|x|)``, reflected for ``x > 0``; NaN maps to NaN.
+    """
+    x = np.asarray(a, dtype=np.float64) * _SQRTH
+    z = np.abs(x)
+    y = np.full_like(x, np.nan)
+    near = z < 1.0  # erf's series, also in erfc(|x|) = 1 - erf(|x|)
+    xn = x[near]
+    tu = _horner(xn * xn, _TU)
+    e = xn * tu[0] / tu[1]  # erf(x), odd in x
+    y[near] = np.where(np.abs(xn) < _SQRTH, 0.5 + 0.5 * e, 0.5 * (1.0 - np.abs(e)))
+    far = z >= 1.0
+    if far.any():
+        y[far] = 0.5 * _erfc_far(z[far])
+    upper = (x > 0) & ~(z < _SQRTH)
+    y[upper] = 1.0 - y[upper]
+    return y[()]
+
+
 def normal(mu: float = 0.0, sigma: float = 1.0) -> Distribution:
     if not math.isfinite(mu):
         raise ConfigError(f"normal location must be finite, got {mu}")
     if not 0 < sigma < math.inf:
         raise ConfigError(f"normal scale must be positive and finite, got {sigma}")
-    from scipy import special
-
     return Distribution(
         name=f"normal:{mu},{sigma}",
-        cdf=_quiet(lambda x: special.ndtr((x - mu) / sigma)),
+        cdf=_quiet(lambda x: _ndtr((x - mu) / sigma)),
         support=(mu - 8.0 * sigma, mu + 8.0 * sigma),
         weight_fn=_quiet(lambda x: np.exp(-((x - mu) / sigma) ** 2 / 2.0) / np.sqrt(2 * np.pi) / sigma),
     )

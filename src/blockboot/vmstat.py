@@ -24,6 +24,7 @@ is a max-profile V-statistic.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -52,6 +53,9 @@ TILE_BYTES = 2**20
 #: and k = 1000 or 2000, where the ``O(n)`` and tile temporaries are negligible.
 GRAM_ARRAYS = 6
 
+#: Floats per list that ``math.fsum`` reads in an exact max-profile total.
+_FSUM_CHUNK = 4096
+
 _SYMMETRY_PROBES = 32
 _SYMMETRY_SEED = 0x5EED
 
@@ -66,8 +70,8 @@ class Kernel:
 
     * ``features`` maps ``n`` points to an ``(n, r)`` matrix ``Phi`` with
       ``h(x, y) = sum_l Phi_l(x) Phi_l(y)``: ``O(n + B k)`` work.
-    * ``max_profile`` is a ``g`` with ``h(x, y) = g(max(x, y)) + f(x) + f(y)``,
-      where ``f(x) = (h(x, x) - g(x)) / 2``: ``O(n log n + kp k + B k^2)``.
+    * ``max_profile`` maps ``n`` points to ``(g, f)``, two length-``n`` arrays
+      with ``h(x, y) = g(max(x, y)) + f(x) + f(y)``: ``O(n log n + kp k + B k^2)``.
     * otherwise kernel meshes: :func:`vstat_test` reads ``h(x_i, x_j)`` for
       ``j >= i`` only, about ``n^2 / 2`` evaluations plus ``O(B k^2)``; the
       symmetry check is what makes the other half redundant.
@@ -76,21 +80,21 @@ class Kernel:
     name: str
     eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
     features: Callable[[np.ndarray], np.ndarray] | None = None
-    max_profile: Callable[[np.ndarray], np.ndarray] | None = None
+    max_profile: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
         x, y = derive_stream(_SYMMETRY_SEED).uniform(-5.0, 5.0, (2, _SYMMETRY_PROBES))
-        # One call each: h at (x, y), (y, x), (x, x) and (y, y); g at x and y.
-        a, b, dx, dy = np.asarray(self.eval(np.r_[x, y, x, y], np.r_[y, x, x, y]),
-                                  dtype=np.float64).reshape(4, -1)
+        # One call each: h at (x, y) and (y, x); g and f at x and y.
+        a, b = np.asarray(self.eval(np.r_[x, y], np.r_[y, x]), dtype=np.float64).reshape(2, -1)
         scale = np.maximum(1.0, np.abs(a))
         if not np.all(np.abs(a - b) <= 1e-12 * scale):
             raise ConfigError(f"kernel {self.name!r} is not symmetric on probe pairs")
         if self.max_profile is not None:
-            gx, gy = np.asarray(self.max_profile(np.r_[x, y]), dtype=np.float64).reshape(2, -1)
-            split = np.where(x >= y, gx, gy) + ((dx - gx) + (dy - gy)) / 2.0
+            (gx, gy), (fx, fy) = (np.asarray(v, dtype=np.float64).reshape(2, -1)
+                                  for v in self.max_profile(np.r_[x, y]))
+            split = np.where(x >= y, gx, gy) + (fx + fy)
             # Relative to the largest term of the identity, which may exceed |h|.
-            if np.any(np.abs(split - a) > 1e-12 * np.max(np.abs([scale, gx, gy, dx, dy]), axis=0)):
+            if np.any(np.abs(split - a) > 1e-12 * np.max(np.abs([scale, gx, gy, fx, fy]), axis=0)):
                 raise ConfigError(f"max_profile of {self.name!r} disagrees with eval on probes")
         if self.features is None:
             return
@@ -126,7 +130,8 @@ def cvm_kernel(cdf: Callable[[np.ndarray], np.ndarray], name: str = "cvm") -> Ke
 
     Equals ``1/3 - max(F(x), F(y)) + (F(x)^2 + F(y)^2)/2``, the covariance
     kernel of a Brownian bridge evaluated at ``F``; degenerate when the data
-    are distributed according to ``cdf``; ``F`` is monotone, so its max profile is ``-F``.
+    are distributed according to ``cdf``.  ``F`` is monotone, so its max
+    profile is ``g = -F`` with ``f = 1/6 + F^2/2``, both from one call of ``cdf``.
     """
 
     def evaluate(x, y):
@@ -134,7 +139,11 @@ def cvm_kernel(cdf: Callable[[np.ndarray], np.ndarray], name: str = "cvm") -> Ke
         b = np.asarray(cdf(np.asarray(y, dtype=np.float64)), dtype=np.float64)
         return 1.0 / 3.0 - np.maximum(a, b) + (a * a + b * b) / 2.0
 
-    return Kernel(name=name, eval=evaluate, max_profile=lambda x: -np.asarray(cdf(x), float))
+    def max_profile(x):
+        a = np.asarray(cdf(x), dtype=np.float64)
+        return -a, 1.0 / 6.0 + a * a / 2.0
+
+    return Kernel(name=name, eval=evaluate, max_profile=max_profile)
 
 
 def kernel_from_token(token: str) -> Kernel:
@@ -218,14 +227,16 @@ def _total_pair_sum(x: np.ndarray, h: Kernel) -> float:
         return float(np.sum(total * total))
     if h.max_profile is not None:
         # The m-th smallest point is the max of 2m - 1 pairs, and f(x_i) + f(x_j)
-        # sums to n * sum(h(x, x) - g).  These terms of size ~n^2 cancel to a
-        # total ~n times smaller, so their exact products are summed exactly.
+        # sums to 2n * sum(f).  These terms of size ~n^2 cancel to a total ~n
+        # times smaller, so their exact products (n <= 2**25) are summed exactly.
         xs = np.sort(x)
         n = xs.size
-        terms = np.concatenate([_exact_products(h.max_profile(xs), np.arange(1.0 - n, n, 2.0)),
-                                _exact_products(h.eval(xs, xs), float(n))])
-        try:
-            return math.fsum(terms)
+        g, f = (np.asarray(v, dtype=np.float64) for v in h.max_profile(xs))
+        terms = np.concatenate([_exact_products(g, np.arange(1.0, 2.0 * n, 2.0)),
+                                _exact_products(f, 2.0 * n)])
+        try:  # fsum reads Python floats faster than numpy scalars; chunks bound the lists
+            return math.fsum(itertools.chain.from_iterable(
+                terms[i : i + _FSUM_CHUNK].tolist() for i in range(0, terms.size, _FSUM_CHUNK)))
         except (OverflowError, ValueError):  # inf - inf or a sum past the float range
             return float(np.sum(terms))
     return _pair_sum(x, h)
@@ -379,8 +390,10 @@ def _mesh_sums(x: np.ndarray, plan: BlockPlan, h: Kernel) -> tuple[np.ndarray, f
     return T, float(np.sum(T) + 2.0 * np.sum(cross) + _pair_sum(x[kp:], h))
 
 
-def _max_block_gram(lead: np.ndarray, plan: BlockPlan, g) -> np.ndarray:
+def _max_block_gram(lead: np.ndarray, plan: BlockPlan, g: np.ndarray) -> np.ndarray:
     """``T[a, b] = sum_{i in B_a, j in B_b} g(max(x_i, x_j))``, from one stable sort.
+
+    ``g`` holds the profile's values at ``lead``.
 
     ``T = A + A^T - diag(block sums of g)``, with ``A[a, b]`` the sum over ``i``
     in block ``a`` of ``g(x_i)`` times the points of block ``b`` sorted at or
@@ -393,7 +406,7 @@ def _max_block_gram(lead: np.ndarray, plan: BlockPlan, g) -> np.ndarray:
     order = np.argsort(lead, kind="stable")
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
-    g_blocks = np.asarray(g(lead), dtype=np.float64).reshape(k, p)
+    g_blocks = np.asarray(g, dtype=np.float64).reshape(k, p)
     A = np.empty((k, k))
     cols = _tile_size(n)
     for b0 in range(0, k, cols):
@@ -457,7 +470,7 @@ def vstat_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, h: Kernel):
 
         return evaluator
     return _gram_evaluator(_mesh_sums(lead, plan, h)[0] if h.max_profile is None
-                           else _max_block_gram(lead, plan, h.max_profile), kp)
+                           else _max_block_gram(lead, plan, h.max_profile(lead)[0]), kp)
 
 
 def cvm_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, spec: CvmSpec):
@@ -482,7 +495,7 @@ def cvm_bootstrap_evaluator(s: HilbertSample, plan: BlockPlan, spec: CvmSpec):
     """
     lead = _leading(s, plan)
     tail = np.append(np.cumsum(spec.weights[::-1])[::-1], 0.0)
-    T = _max_block_gram(lead, plan, lambda x: tail[np.searchsorted(spec.grid, x, side="left")])
+    T = _max_block_gram(lead, plan, tail[np.searchsorted(spec.grid, lead, side="left")])
     return _gram_evaluator(T, plan.kp)
 
 

@@ -393,14 +393,17 @@ class TestInstalledEntryPoint:
             assert outputs["1"] == outputs["4"]
 
 
-    # scipy.special is loaded by the laws that need it (normal, Student t) when
-    # they are built, never by an import of the package.
+    # scipy.special is loaded by the law that needs it (Student t) when it is
+    # built, never by an import of the package; the normal law is written out.
     @pytest.mark.parametrize("argv, loaded", [
         (["bootstrap"], False),
         (["cvm-test", "--dist", "uniform:-4,4"], False),
         (["vstat-test", "--kernel", "product"], False),
-        (["cvm-test", "--dist", "normal"], True),
-    ], ids=["bootstrap", "cvm-uniform", "vstat-product", "cvm-normal"])
+        (["cvm-test", "--dist", "normal"], False),
+        (["vstat-test", "--kernel", "cvm:normal"], False),
+        (["cvm-test", "--dist", "t:5"], True),
+    ], ids=["bootstrap", "cvm-uniform", "vstat-product", "cvm-normal", "vstat-cvm-normal",
+            "cvm-t"])
     def test_only_the_laws_that_need_it_load_scipy_special(self, tmp_path, data_file, argv,
                                                            loaded):
         code = ("import sys\nfrom blockboot.cli import main\n"
@@ -665,6 +668,12 @@ def test_default_section_exits_2_with_one_error_line(tmp_path, capsys, command, 
     assert not out.exists()
 
 
+# A setting of [process] that its kind does not read, one per key.
+IGNORED_SETTINGS = [("iid", "phi = 0.5"), ("ar1-real", "coefficients = 1, 0.5"),
+                    ("ar1-real", "basis_size = 4"), ("iid", "burn_in = 10"),
+                    ("linear-real", "burn_in = 10"), ("doubling-map-functional", "innovation = gaussian")]
+
+
 @pytest.mark.parametrize("command, text, message", [
     ("generate", PROCESS_INI.replace("kind = ar1-real\n", ""), "[process] needs a 'kind'"),
     ("montecarlo", EXPERIMENT_INI.replace("kind = iid\n", ""), "[process] needs a 'kind'"),
@@ -676,11 +685,21 @@ def test_default_section_exits_2_with_one_error_line(tmp_path, capsys, command, 
       for key in ("statistic", "n", "replicates", "replications", "level", "master_seed")],
     ("generate", None, "cannot read config file"),
     ("montecarlo", None, "cannot read config file"),
+    *[("generate", f"[process]\nschema = 1\nkind = {kind}\n{setting}\n"
+       + ("[grid]\npoints = 4\n" if kind.endswith("functional") else ""),
+       f"[process] '{setting.split()[0]}' has no effect for kind '{kind}'")
+      for kind, setting in IGNORED_SETTINGS],
+    ("generate", PROCESS_INI + "t_df = 5\n",
+     "[process] 't_df' has no effect without innovation = student-t"),
+    ("montecarlo", EXPERIMENT_INI.replace("statistic = mean-norm", "statistic = two-sample-mean")
+     + "\n[process_y]\nkind = iid\nburn_in = 10\n", "[process_y] 'burn_in' has no effect for kind 'iid'"),
     ("generate", "kind = iid\n", "malformed config file"),
     ("generate", PROCESS_INI + "burn_in\n", "malformed config file"),
     ("montecarlo", EXPERIMENT_INI + "[process]\n", "malformed config file"),
 ], ids=["generate-kind", "montecarlo-kind", "montecarlo-process_y-kind", "generate-points",
         "statistic", "n", "replicates", "replications", "level", "master_seed",
+        *[f"{kind}-{setting.split()[0]}" for kind, setting in IGNORED_SETTINGS],
+        "ar1-real-t_df", "montecarlo-process_y-iid-burn_in",
         "generate-unreadable", "montecarlo-unreadable", "generate-no-section-header",
         "generate-line-without-value", "montecarlo-duplicate-section"])
 def test_config_file_errors_exit_2_with_one_error_line(tmp_path, capsys, command, text,

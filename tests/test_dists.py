@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from blockboot.dists import distribution_from_token, normal, student_t, uniform
 from blockboot.exceptions import ConfigError
@@ -72,6 +72,46 @@ def test_laws_equal_scipy_stats_within_four_ulp(law, x):
     assert ulp_distance(cdf, ref_cdf).max() <= 4
     if weight is not None:
         assert ulp_distance(weight, ref_pdf).max() <= 4
+
+
+SQRT2 = math.sqrt(2.0)
+# Standardized points weighted to the tails: Cephes' branch points |z| = sqrt(2)
+# and 8 sqrt(2) a few ulps either side, the subnormal CDF values below about
+# -37.5, the cut where exp(-z^2/2) underflows (|z| near 37.7), and beyond.
+TAIL_Z = st.one_of(
+    st.floats(-40.0, 40.0),
+    st.floats(-38.5, -37.4),
+    st.builds(lambda edge, sign, ulps: sign * edge + ulps * math.ulp(edge),
+              st.sampled_from([SQRT2, 8.0 * SQRT2, math.sqrt(2.0 * 7.09782712893383996843E2)]),
+              st.sampled_from([-1.0, 1.0]), st.integers(-4, 4)),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+)
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays bit for bit, any NaN payload matching any other."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    nan = np.isnan(a)
+    return bool(np.array_equal(nan, np.isnan(b)) and np.array_equal(a[~nan].view(np.int64),
+                                                                    b[~nan].view(np.int64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mu=st.floats(-1e3, 1e3), sigma=st.floats(1e-3, 1e3), z=st.lists(TAIL_Z, min_size=1, max_size=60))
+def test_normal_cdf_is_scipy_ndtr_bit_for_bit(mu, sigma, z):
+    # The written-out Cephes ndtr against scipy.special.ndtr, which evaluates the same code.
+    law = normal(mu, sigma)
+    x = mu + sigma * np.array(z)
+    cdf, _ = evaluate_quietly(law, x)
+    assert same_bits(cdf, special.ndtr((x - mu) / sigma))
+    assert same_bits(law.cdf(x[0]), special.ndtr((x[0] - mu) / sigma))
+
+
+def test_normal_cdf_is_scipy_ndtr_bit_for_bit_on_a_dense_grid():
+    # Any coefficient of the Cephes tables off by a relative 1e-10 moves some of these values.
+    z = np.linspace(-40.0, 40.0, 400001)
+    assert same_bits(normal().cdf(z), special.ndtr(z))
 
 
 @pytest.mark.parametrize("token", [

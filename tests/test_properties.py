@@ -195,11 +195,11 @@ def test_max_block_gram_is_the_cumsum_form(inputs):
     # The running sums in place count the same integers as a cumsum of
     # block-equality masks, so the Gram is bitwise the same, for any tile width.
     x, plan, cols = inputs
-    g = lambda t: -np.tanh(t) + 0.1 * t
+    g = -np.tanh(x) + 0.1 * x
     with mock.patch.object(vmstat, "TILE_BYTES", 8 * x.size * cols):
         assert vmstat._tile_size(x.size) == cols
         T = vmstat._max_block_gram(x, plan, g)
-    expected = max_block_gram(x, plan.p, g(x), cols)
+    expected = max_block_gram(x, plan.p, g, cols)
     assert T.tobytes() == expected.tobytes()
 
 
@@ -244,16 +244,23 @@ def test_cvm_evaluator_matches_assembled_samples(case, B, seed):
 
 
 def spec_kernel(spec):
-    """``sum_t w_t (1{x <= t} - F(t)) (1{y <= t} - F(t))``, declaring its max profile ``Wtail``."""
-    tail = np.append(np.cumsum(spec.weights[::-1])[::-1], 0.0)
+    """``sum_t w_t (1{x <= t} - F(t)) (1{y <= t} - F(t))``, declaring its max profile:
+    ``g = Wtail`` and ``f = C/2 - G`` with ``G(x) = sum_{t >= x} w_t F(t)`` and
+    ``C = sum_t w_t F(t)^2``."""
+    suffix = lambda v: np.append(np.cumsum(v[::-1])[::-1], 0.0)
+    tail, G = suffix(spec.weights), suffix(spec.weights * spec.cdf_values)
+    half_c = np.sum(spec.weights * spec.cdf_values**2) / 2.0
 
     def induced(x, y):
         ind_x = (spec.grid >= np.asarray(x)[..., None]) - spec.cdf_values
         ind_y = (spec.grid >= np.asarray(y)[..., None]) - spec.cdf_values
         return np.sum(ind_x * ind_y * spec.weights, axis=-1)
 
-    return Kernel("cvm-spec", eval=induced,
-                  max_profile=lambda x: tail[np.searchsorted(spec.grid, x, side="left")])
+    def max_profile(x):
+        at = np.searchsorted(spec.grid, x, side="left")
+        return tail[at], half_c - G[at]
+
+    return Kernel("cvm-spec", eval=induced, max_profile=max_profile)
 
 
 @settings(max_examples=90, deadline=None)

@@ -113,26 +113,28 @@ def test_reports_are_serialized_at_one_strict_call():
     assert [(stem, strict) for stem, found in calls.items() for _, strict in found] == [("io", True)]
 
 
-def module_level(tree: ast.AST):
-    """The nodes of ``tree`` that run when the module is imported: none inside a function body."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack += [child for child in ast.iter_child_nodes(node)
-                  if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
-
-
-def imports_of(source: str, package: str, walk=ast.walk) -> list[str]:
-    """Each import from ``package`` among the nodes ``walk`` yields from ``source``,
-    written as ``import x`` or ``from x import y``."""
+def imports_by_function(source: str, package: str) -> list[tuple[str | None, str]]:
+    """Each import from ``package`` in ``source``, written as ``import x`` or
+    ``from x import y``, with the name of the innermost function whose body
+    holds it; None for one that runs when the module is imported."""
     found = []
-    for node in walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            found += [f"import {alias.name}" for alias in node.names if alias.name.split(".")[0] == package]
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == package:
-            found += [f"from {node.module} import {alias.name}" for alias in node.names]
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((owner, f"import {alias.name}") for alias in child.names
+                             if alias.name.split(".")[0] == package)
+            elif isinstance(child, ast.ImportFrom) and (child.module or "").split(".")[0] == package:
+                found.extend((owner, f"from {child.module} import {alias.name}") for alias in child.names)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(ast.parse(source), None)
     return found
+
+
+def imports_of(source: str, package: str) -> list[str]:
+    """Each import from ``package`` in ``source``."""
+    return [text for _, text in imports_by_function(source, package)]
 
 
 def test_checker_lists_scipy_imports():
@@ -142,25 +144,42 @@ def test_checker_lists_scipy_imports():
                                            "from scipy import signal", "from scipy.signal import lfilter"]
 
 
+CHECKER_SOURCE = ("try:\n    import scipy.stats\nexcept ImportError:\n    pass\n"
+                  "class C:\n    from scipy import special\n"
+                  "    def f(self):\n        from scipy import signal\n"
+                  "async def g():\n    import scipy.fft\n"
+                  "def h():\n    def inner():\n        from scipy import linalg\n"
+                  "    from scipy import special\n")
+
+
 def test_checker_lists_module_level_scipy_imports():
-    source = ("try:\n    import scipy.stats\nexcept ImportError:\n    pass\n"
-              "class C:\n    from scipy import special\n"
-              "    def f(self):\n        from scipy import signal\n"
-              "async def g():\n    import scipy.fft\n"
-              "def h():\n    def inner():\n        from scipy import linalg\n")
-    assert sorted(imports_of(source, "scipy", module_level)) == ["from scipy import special",
-                                                                 "import scipy.stats"]
+    found = imports_by_function(CHECKER_SOURCE, "scipy")
+    assert [text for owner, text in found if owner is None] == ["import scipy.stats",
+                                                                "from scipy import special"]
+
+
+def test_checker_names_the_function_of_each_scipy_import():
+    assert imports_by_function(CHECKER_SOURCE, "scipy") == [
+        (None, "import scipy.stats"), (None, "from scipy import special"),
+        ("f", "from scipy import signal"), ("g", "import scipy.fft"),
+        ("inner", "from scipy import linalg"), ("h", "from scipy import special")]
+
+
+#: The functions that evaluate a special function, each importing
+#: ``scipy.special`` in its body: the Student-t law and the chi-square reference.
+SCIPY_SPECIAL_OWNERS = {"dists": "student_t", "harness": "_chi2_1_cdf"}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
 def test_scipy_special_is_the_only_scipy_import(path):
-    # The null laws and the AR(1) recursion are written out over scipy.special;
-    # scipy.stats and scipy.signal load ~460 modules the package does not need.
-    # scipy.special itself is imported inside the functions that evaluate it,
-    # so that importing the package loads no scipy module.
-    source = path.read_text()
-    assert set(imports_of(source, "scipy")) <= {"from scipy import special"}
-    assert imports_of(source, "scipy", module_level) == []
+    # The null laws and the AR(1) recursion are written out over numpy and
+    # scipy.special; scipy.stats and scipy.signal load ~460 modules the package
+    # does not need.  scipy.special (66 modules) is imported only inside the
+    # functions that evaluate it, so neither importing the package nor building
+    # a normal or uniform law loads any scipy module.
+    owner = SCIPY_SPECIAL_OWNERS.get(path.stem)
+    expected = [] if owner is None else [(owner, "from scipy import special")]
+    assert imports_by_function(path.read_text(), "scipy") == expected
 
 
 def test_checker_lists_blockboot_imports():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,11 +78,14 @@ class TestKernels:
             Kernel("bad", eval=lambda x, y: x * y, features=lambda x: 2 * x[:, None])
 
     def test_max_profile_disagreeing_with_eval_rejected(self):
-        # 1/3 - max(x, y) + (x^2 + y^2)/2 has max profile -x, not +x
+        # 1/3 - max(x, y) + (x^2 + y^2)/2 has max profile -x, not +x, and
+        # separable part 1/6 + x^2/2, not x^2/2
         kern = cvm_kernel(lambda t: t)
         with pytest.raises(ConfigError, match="disagrees"):
-            Kernel("bad", eval=kern.eval, max_profile=lambda x: x)
-        Kernel("good", eval=kern.eval, max_profile=lambda x: -x)
+            Kernel("bad", eval=kern.eval, max_profile=lambda x: (x, 1 / 6 + x * x / 2))
+        with pytest.raises(ConfigError, match="disagrees"):
+            Kernel("bad", eval=kern.eval, max_profile=lambda x: (-x, x * x / 2))
+        Kernel("good", eval=kern.eval, max_profile=lambda x: (-x, 1 / 6 + x * x / 2))
 
     def test_features_must_be_a_matrix(self):
         with pytest.raises(ConfigError, match=r"\(n, r\)"):
@@ -289,17 +293,37 @@ class TestBootstrapVStatistic:
     def test_max_profile_total_matches_fsum_of_the_mesh(self, n):
         from blockboot.vmstat import _total_pair_sum
 
-        # h = c - |x - y| / 2 = c - max(x, y) + (x + y) / 2 has max profile -x.
-        # On multiples of 2^-52 in [1/2, 1) with c a multiple of 2^-53 every
-        # evaluation is exact, so the fsum of the mesh is the exact total
-        # rounded once; c near E|x - y| / 2 cancels it ~sqrt(n) times.
+        # h = c - |x - y| / 2 = c - max(x, y) + (x + y) / 2 has max profile
+        # c - x with f = x / 2.  On multiples of 2^-52 in [1/2, 1) with c a
+        # multiple of 2^-53 every evaluation is exact, so the fsum of the mesh
+        # is the exact total rounded once; c near E|x - y| / 2 cancels it
+        # ~sqrt(n) times.
         c = math.ldexp(round(2.0**53 / 12), -53)
-        kern = Kernel("abs", eval=lambda x, y: c - np.abs(x - y) / 2, max_profile=lambda x: -x)
+        kern = Kernel("abs", eval=lambda x, y: c - np.abs(x - y) / 2,
+                      max_profile=lambda x: (c - x, x / 2))
         for seed in range(2):
             x = np.ldexp(derive_stream(73, n, seed).integers(2**51, 2**52, n).astype(float), -52)
             rows = (kern.eval(x[i : i + 64, None], x[None, :]).ravel().tolist()
                     for i in range(0, n, 64))
             assert _total_pair_sum(x, kern) == math.fsum(itertools.chain.from_iterable(rows))
+
+    @pytest.mark.parametrize("n", [2000, 20000])
+    def test_cvm_total_is_the_exact_total_within_a_bound_that_does_not_grow(self, n):
+        from blockboot.vmstat import _total_pair_sum
+
+        # The exact total of c - max(F_i, F_j) + (F_i^2 + F_j^2)/2 over all
+        # pairs, in exact arithmetic on the float CDF values F_i and the
+        # kernel's float c = 1/3, is n^2 c - sum (2m - 1) F_(m) + n sum F_i^2.
+        # Only the declared f = 1/6 + F^2/2 rounds, once a point; deriving f
+        # as (h(x, x) - g)/2 put an error in n V_n that grew with n (3.3-3.7
+        # times this bound at n = 20000).
+        kern = kernel_from_token("cvm:normal")
+        for seed in range(2):
+            x = derive_stream(75, n, seed).standard_normal(n)
+            F = [Fraction(v) for v in np.sort(-kern.max_profile(x)[0]).tolist()]
+            exact = (n * n * Fraction(1.0 / 3.0) - sum((2 * m + 1) * f for m, f in enumerate(F))
+                     + n * sum(f * f for f in F))
+            assert abs(Fraction(_total_pair_sum(x, kern)) - exact) / n <= 2.0**-46
 
     @pytest.mark.parametrize("token", ["product", "cvm:normal", "cvm:uniform:-3,3"])
     def test_vstat_statistics_of_declared_kernels_are_unchanged(self, token):
@@ -608,7 +632,7 @@ class TestSingleShotTests:
     def test_max_profile_total_past_the_float_range_is_an_error(self):
         # The exact products overflow, which math.fsum raises on.
         kern = Kernel("abs-huge", eval=lambda x, y: 1e307 * (0.25 - np.abs(x - y) / 2),
-                      max_profile=lambda x: -1e307 * x)
+                      max_profile=lambda x: (1e307 * (0.25 - x), 1e307 * x / 2))
         s = scalar_sample(derive_stream(74).uniform(0.5, 1.0, 100))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
