@@ -46,9 +46,23 @@ from .vmstat import (
 _QUANTILES = (0.5, 0.9, 0.95, 0.99)
 
 
-def _write_json(path: str, payload: dict) -> None:
-    text = json_text(payload)  # ValueError on nan or inf, before the file opens
-    with open(path, "w", encoding="ascii") as fh:
+def _write_report(args, plan: BlockPlan, result: dict | None = None, **fields) -> None:
+    """Write the ``--out`` report: the provenance every command shares, the
+    decision of a test's ``result``, then the command's own ``fields``."""
+    payload = {"schema": 1, "version": __version__, "command": args.command,
+               "plan": plan.to_dict(), "seed": args.seed}
+    if result is not None:
+        payload.update({
+            "level": args.level,
+            "replicates": int(result["replicates"].size),
+            "statistic": result["statistic"],
+            "critical_value": result["critical_value"],
+            "p_value": result["p_value"],
+            "reject": result["reject"],
+            "decision": "reject" if result["reject"] else "fail-to-reject",
+        })
+    text = json_text({**payload, **fields})  # ValueError on nan or inf, before the file opens
+    with open(args.out, "w", encoding="ascii") as fh:
         fh.write(text)
 
 
@@ -96,26 +110,6 @@ def _add_bootstrap_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", required=True, help="output report JSON")
 
 
-def _test_payload(result: dict, plan: BlockPlan, args, extra: dict | None = None) -> dict:
-    payload = {
-        "schema": 1,
-        "version": __version__,
-        "command": args.command,
-        "plan": plan.to_dict(),
-        "seed": args.seed,
-        "level": args.level,
-        "replicates": int(result["replicates"].size),
-        "statistic": result["statistic"],
-        "critical_value": result["critical_value"],
-        "p_value": result["p_value"],
-        "reject": result["reject"],
-        "decision": "reject" if result["reject"] else "fail-to-reject",
-    }
-    if extra:
-        payload.update(extra)
-    return payload
-
-
 def cmd_generate(args) -> int:
     process, grid_spec = load_process_config(args.config)
     if process.is_functional:
@@ -131,12 +125,7 @@ def cmd_bootstrap(args) -> int:
     sample = read_sample(args.data, args.sidecar)
     plan = _plan_from_args(sample.n, args)
     values = bootstrap_distribution(sample, plan, args.replicates, args.statistic, args.seed)
-    payload = {
-        "schema": 1,
-        "version": __version__,
-        "command": "bootstrap",
-        "plan": plan.to_dict(),
-        "seed": args.seed,
+    fields = {
         "statistic": args.statistic,
         "replicates": {
             "count": int(values.size),
@@ -145,8 +134,8 @@ def cmd_bootstrap(args) -> int:
         },
     }
     if args.statistic == "lrv":
-        payload["sample_estimate"] = long_run_variance_estimate(sample, plan)
-    _write_json(args.out, payload)
+        fields["sample_estimate"] = long_run_variance_estimate(sample, plan)
+    _write_report(args, plan, **fields)
     if args.raw_out:
         with open(args.raw_out, "w", encoding="ascii") as fh:
             fh.write("replicate,value\n")
@@ -160,8 +149,7 @@ def cmd_cvm_test(args) -> int:
     dist = distribution_from_token(args.dist)
     spec = make_cvm_spec(dist.cdf, dist.support, dist.weight_fn, sample=sample)
     result = cvm_test(sample, spec, plan, args.replicates, args.seed, args.level)
-    payload = _test_payload(result, plan, args, {"null": dist.name})
-    _write_json(args.out, payload)
+    _write_report(args, plan, result, null=dist.name)
     return 0
 
 
@@ -183,11 +171,7 @@ def cmd_vstat_test(args) -> int:
     kernel = kernel_from_token(args.kernel)
     result = vstat_test(sample, kernel, plan, args.replicates, args.seed, args.level)
     diagnostic = degeneracy_diagnostic(sample, kernel, _degeneracy_probes(sample.scalars()))
-    payload = _test_payload(result, plan, args, {
-        "kernel": kernel.name,
-        "degeneracy_diagnostic": diagnostic,
-    })
-    _write_json(args.out, payload)
+    _write_report(args, plan, result, kernel=kernel.name, degeneracy_diagnostic=diagnostic)
     return 0
 
 
@@ -198,8 +182,7 @@ def cmd_two_sample(args) -> int:
         raise ConfigError(f"samples must have equal length, got {x.n} and {y.n}")
     plan = _plan_from_args(x.n, args)
     result = two_sample_test(x, y, plan, plan, args.replicates, args.seed, args.level)
-    payload = _test_payload(result, plan, args)
-    _write_json(args.out, payload)
+    _write_report(args, plan, result)
     return 0
 
 

@@ -8,7 +8,10 @@ table mapping every accepted key to its converter: unknown keys are rejected
 so typos cannot silently fall back to defaults, and an absent key takes the
 default of :class:`ProcessConfig`, :class:`GridSpec` or
 :class:`ExperimentConfig`.  A process setting that its kind does not read
-is refused too.  Values are read literally (no ``%``
+is refused too, and so, in an experiment file, are ``schema`` and ``seed``
+in ``[process]`` and ``[process_y]`` (every stream derives from
+``master_seed``) and ``exponent`` and ``dyadic_freeze`` next to
+``block_length``.  Values are read literally (no ``%``
 interpolation), and ``[DEFAULT]`` is an unknown section like any other.
 See the README for the documented key set.
 """
@@ -157,6 +160,14 @@ def load_experiment_config(path: str) -> ExperimentConfig:
         if required not in section:
             raise ConfigError(f"[experiment] needs {required!r}")
     _check_sections(parser, {"experiment", "process", "process_y", "grid"})
+    # Every stream derives from master_seed, and a fixed block_length leaves no schedule.
+    for name in ("process", "process_y"):
+        for key in ("schema", "seed"):
+            if name in parser and key in parser[name]:
+                raise ConfigError(f"[{name}] {key!r} has no effect in an experiment file")
+    for key in ("exponent", "dyadic_freeze"):
+        if key in section and "block_length" in section:
+            raise ConfigError(f"[experiment] {key!r} has no effect with 'block_length'")
     process = parse_process_section(parser["process"])
     process_y = (parse_process_section(parser["process_y"], "process_y")
                  if "process_y" in parser else None)

@@ -44,6 +44,7 @@ estimated quantities.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +117,7 @@ class ProcessConfig:
             raise ConfigError("basis_size must be at least 1")
         if self.burn_in < 0:
             raise ConfigError("burn_in must be nonnegative")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= operator.index(self.seed) < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
 
     @property
@@ -142,18 +143,22 @@ def _ar1_filter(phi: float, noise: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return np.array([x0 := row + phi * x0 for row in noise])
 
 
+def _stream(cfg: ProcessConfig, n: int, rng, kinds: tuple, space: str) -> np.random.Generator:
+    """``rng``, or the stream of ``cfg.seed``, once ``n >= 1`` and ``cfg.kind`` is in ``kinds``."""
+    if n < 1:
+        raise ConfigError(f"need n >= 1, got {n}")
+    if cfg.kind not in kinds:
+        raise ConfigError(f"{cfg.kind!r} is not a {space} process kind")
+    return derive_stream(cfg.seed) if rng is None else rng
+
+
 def generate_real(cfg: ProcessConfig, n: int, rng: np.random.Generator | None = None) -> HilbertSample:
     """A length-``n`` draw of a scalar process as a d=1 sample.
 
     Deterministic given ``(cfg, n)``; pass ``rng`` to draw from an explicit
     stream instead of the one derived from ``cfg.seed``.
     """
-    if n < 1:
-        raise ConfigError(f"need n >= 1, got {n}")
-    if cfg.kind not in REAL_KINDS:
-        raise ConfigError(f"{cfg.kind!r} is not a scalar process kind")
-    if rng is None:
-        rng = derive_stream(cfg.seed)
+    rng = _stream(cfg, n, rng, REAL_KINDS, "scalar")
     if cfg.kind == "iid":
         x = _innovations(cfg, rng, n)
     elif cfg.kind == "linear-real":
@@ -216,14 +221,9 @@ def generate_functional(cfg: ProcessConfig, n: int, grid, w=None,
     rng : numpy.random.Generator, optional
         Explicit stream; defaults to the one derived from ``cfg.seed``.
     """
-    if n < 1:
-        raise ConfigError(f"need n >= 1, got {n}")
-    if cfg.kind not in FUNCTIONAL_KINDS:
-        raise ConfigError(f"{cfg.kind!r} is not a functional process kind")
+    rng = _stream(cfg, n, rng, FUNCTIONAL_KINDS, "functional")
     grid = np.asarray(grid, dtype=np.float64)
     weights = trapezoid_weights(grid, w)
-    if rng is None:
-        rng = derive_stream(cfg.seed)
     if cfg.kind == "ar1-functional":
         basis = _noise_basis(cfg, grid)
         if cfg.innovation == "gaussian":

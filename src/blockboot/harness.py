@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 from dataclasses import asdict, dataclass
 
@@ -116,7 +117,7 @@ class ExperimentConfig:
             raise ConfigError("replicates (B) and replications (M) must be at least 1")
         if not 0.0 < self.level < 1.0:
             raise ConfigError(f"level must lie in (0, 1), got {self.level}")
-        if not 0 <= int(self.master_seed) < 2**64:
+        if not 0 <= operator.index(self.master_seed) < 2**64:
             raise ConfigError("master_seed must be an unsigned 64-bit integer")
         if self.block_length is not None and not 1 <= self.block_length <= self.n:
             raise ConfigError(f"block_length must be in 1..n, got {self.block_length}")
@@ -256,8 +257,9 @@ def experiment_plan(cfg: ExperimentConfig) -> BlockPlan:
     return block_length_schedule(cfg.n, cfg.exponent, cfg.dyadic_freeze)
 
 
-def _generate(cfg: ExperimentConfig, process: ProcessConfig,
-              rng: np.random.Generator) -> HilbertSample:
+def _generate(cfg: ExperimentConfig, process: ProcessConfig, r: int, tag: int) -> HilbertSample:
+    """Replication ``r``'s sample of ``process``, drawn from its stream ``tag``."""
+    rng = derive_stream(cfg.master_seed, r, tag)
     if process.is_functional:
         grid, w = cfg.grid.make()
         return generate_functional(process, cfg.n, grid, w, rng=rng)
@@ -309,8 +311,7 @@ def resolve_null(cfg: ExperimentConfig) -> Distribution:
 
 
 def _mean_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
-    rng = derive_stream(cfg.master_seed, r, _TAG_DATA)
-    s = _generate(cfg, cfg.process, rng)
+    s = _generate(cfg, cfg.process, r, _TAG_DATA)
     center = s.values[: plan.kp].mean(axis=0)
     root_kp = math.sqrt(plan.kp)
 
@@ -327,8 +328,8 @@ def _mean_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
 
 def _two_sample_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
     process_y = cfg.process_y if cfg.process_y is not None else cfg.process
-    x = _generate(cfg, cfg.process, derive_stream(cfg.master_seed, r, _TAG_DATA))
-    y = _generate(cfg, process_y, derive_stream(cfg.master_seed, r, _TAG_DATA_Y))
+    x = _generate(cfg, cfg.process, r, _TAG_DATA)
+    y = _generate(cfg, process_y, r, _TAG_DATA_Y)
     if cfg.mean_shift != 0.0:
         y = HilbertSample(y.grid, y.weights, y.values + cfg.mean_shift)
     observed, evaluate = two_sample_statistics(x, y, plan, plan)
@@ -343,8 +344,7 @@ _cached_kernel = functools.cache(kernel_from_token)
 
 def _cvm_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
     null = _cached_null(cfg)
-    rng = derive_stream(cfg.master_seed, r, _TAG_DATA)
-    s = _generate(cfg, cfg.process, rng)
+    s = _generate(cfg, cfg.process, r, _TAG_DATA)
     spec = make_cvm_spec(null.cdf, null.support, null.weight_fn, sample=s)
     observed = float(cfg.n * cvm_statistic(s, spec))
     evaluator = cvm_bootstrap_evaluator(s, plan, spec)
@@ -353,8 +353,7 @@ def _cvm_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
 
 def _vstat_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
     kernel = _cached_kernel(cfg.kernel_token)
-    rng = derive_stream(cfg.master_seed, r, _TAG_DATA)
-    s = _generate(cfg, cfg.process, rng)
+    s = _generate(cfg, cfg.process, r, _TAG_DATA)
     observed = float(cfg.n * v_statistic(s, kernel))
     evaluator = vstat_bootstrap_evaluator(s, plan, kernel)
     return _bootstrap_record(cfg, plan, r, observed, evaluator, _TAG_BOOT)

@@ -67,7 +67,17 @@ def trapezoid_weights(grid, pointwise_w=None) -> np.ndarray:
     return w * cells
 
 
-def _validate_space(grid: np.ndarray, weights: np.ndarray) -> None:
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr = np.array(arr, dtype=np.float64, copy=True)
+    arr.setflags(write=False)
+    return arr
+
+
+def _freeze_space(obj, values: np.ndarray, rows: str) -> None:
+    """Check ``obj``'s grid and weights and the finite ``values``, whose last
+    axis (named ``rows`` in errors) runs over the grid; store all three frozen."""
+    grid = _as_float_array(obj.grid, "grid")
+    weights = _as_float_array(obj.weights, "weights")
     d = grid.size
     if d == 0:
         raise EmptyInputError("grid must contain at least one point")
@@ -81,12 +91,12 @@ def _validate_space(grid: np.ndarray, weights: np.ndarray) -> None:
         raise ValueError("weights must be finite and nonnegative")
     if not np.any(weights > 0):
         raise ValueError("at least one weight must be positive")
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=np.float64, copy=True)
-    arr.setflags(write=False)
-    return arr
+    if values.shape[-1] != d:
+        raise ValueError(f"{rows} must match the grid length")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    for name, arr in (("grid", grid), ("weights", weights), ("values", values)):
+        object.__setattr__(obj, name, _frozen(arr))
 
 
 @dataclass(frozen=True)
@@ -109,17 +119,7 @@ class GridFunction:
     weights: np.ndarray
 
     def __post_init__(self):
-        grid = _as_float_array(self.grid, "grid")
-        values = _as_float_array(self.values, "values")
-        weights = _as_float_array(self.weights, "weights")
-        _validate_space(grid, weights)
-        if values.size != grid.size:
-            raise ValueError("values must match the grid length")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "grid", _frozen(grid))
-        object.__setattr__(self, "values", _frozen(values))
-        object.__setattr__(self, "weights", _frozen(weights))
+        _freeze_space(self, _as_float_array(self.values, "values"), "values")
 
     @property
     def d(self) -> int:
@@ -139,21 +139,12 @@ class HilbertSample:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        grid = _as_float_array(self.grid, "grid")
-        weights = _as_float_array(self.weights, "weights")
-        _validate_space(grid, weights)
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError(f"values must be an (n, d) matrix, got shape {values.shape}")
         if values.shape[0] < 1:
             raise EmptyInputError("a sample must contain at least one observation")
-        if values.shape[1] != grid.size:
-            raise ValueError("value rows must match the grid length")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "grid", _frozen(grid))
-        object.__setattr__(self, "weights", _frozen(weights))
-        object.__setattr__(self, "values", _frozen(values))
+        _freeze_space(self, values, "value rows")
 
     @classmethod
     def from_scalars(cls, x) -> "HilbertSample":

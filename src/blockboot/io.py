@@ -103,8 +103,6 @@ def write_sample(sample: HilbertSample, data_path: str, sidecar_path: str | None
         Pointwise weight values to record in the sidecar; defaults to 1.  The
         trapezoid rule must rebuild ``sample.weights`` from them bitwise.
     """
-    if not np.all(np.isfinite(sample.values)):
-        raise ValueError("only finite values can be round-tripped")
     if trapezoid_weights(sample.grid, pointwise_w).tobytes() != sample.weights.tobytes():
         raise ValueError("pointwise_w does not rebuild the sample's weights by the trapezoid rule")
     with open(data_path, "w", encoding="ascii") as fh:

@@ -5,10 +5,13 @@ Every stochastic routine in this package draws from a stream obtained via
 blocks of the Philox counter space, so streams are statistically independent
 and can be consumed in any order (or in parallel) without changing results.
 The mapping from ``(seed, path)`` to a stream is part of the public contract
-and will not change between versions.
+and will not change between versions.  Seeds and path components are
+integers: a float raises :class:`TypeError` instead of being truncated.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -37,14 +40,14 @@ def derive_stream(seed: int, *path: int) -> np.random.Generator:
         Generator backed by a Philox counter positioned at the start of the
         selected stream.
     """
-    seed = int(seed)
+    seed = operator.index(seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     if len(path) > _MAX_PATH:
         raise ValueError(f"at most {_MAX_PATH} path components are supported")
     words = [0, len(path), 0, 0]
     for i, component in enumerate(path):
-        component = int(component)
+        component = operator.index(component)
         if not 0 <= component < 2**64:
             raise ValueError(f"path component {component} out of range")
         words[2 + i] = component

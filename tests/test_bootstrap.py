@@ -435,6 +435,25 @@ class TestDecide:
             decide(1.0, np.arange(10.0), level)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: BlockPlan(n=0, p=1), EmptyInputError, "plan needs n >= 1"),
+    (lambda: BlockPlan(n=-3, p=1), EmptyInputError, "plan needs n >= 1"),
+    (lambda: BlockPlan(n=10, p=0), ValueError, "block length p=0 must be in 1..n=10"),
+    (lambda: BlockPlan(n=10, p=11), ValueError, "block length p=11 must be in 1..n=10"),
+    (lambda: bootstrap_distribution(scalar_sample(np.arange(8.0)), BlockPlan(n=8, p=2), 0,
+                                    lambda s, star, plan: 0.0, 1),
+     EmptyInputError, "need B >= 1 bootstrap replicates"),
+    (lambda: empirical_quantile(np.empty(0), 0.5), EmptyInputError,
+     "cannot take a quantile of zero replicates"),
+    (lambda: decide(1.0, np.empty(0), 0.05), EmptyInputError, "cannot decide on zero replicates"),
+], ids=["plan-n-0", "plan-n-negative", "plan-p-0", "plan-p-above-n", "callable-B-0",
+        "quantile-B-0", "decide-B-0"])
+def test_refusals_raise_their_type_and_message(call, error, message):
+    with pytest.raises(Exception) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
 class TestLongRunVariance:
     def test_constant_sample_gives_zero(self):
         s = scalar_sample(np.full(60, 2.5))

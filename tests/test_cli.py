@@ -758,6 +758,8 @@ def test_block_pair_sums_beyond_physical_memory_exit_2_with_one_error_line(
 # of their own; no token below parses as a large integer.
 INI_TOKENS = ["nan", "inf", "-inf", "-1", "0", "1e308", "", "abc", "%", "10%", " 7 ", "%(x)s",
               "2"]
+TWO_SAMPLE_INI = (EXPERIMENT_INI.replace("mean-norm", "two-sample-mean")
+                  + "\n[process_y]\nkind = iid\n")
 INI_SIZES = {"n": 64, "replicates": 20, "replications": 3, "points": 16, "basis_size": 8,
              "burn_in": 50}
 INI_VALUES = {
@@ -805,6 +807,9 @@ def draw_ini(data, command) -> str:
             continue
         sections[name] = {}
         for key in INI_KEYS[name]:
+            if (command == "montecarlo" and name.startswith("process") and key in ("schema", "seed")
+                    or key in ("exponent", "dyadic_freeze") and "block_length" in sections[name]):
+                continue  # settings without effect; the faults below may still add them
             if key in INI_REQUIRED or data.draw(st.booleans(), label=f"{name}.{key}?"):
                 value = (st.integers(1, INI_SIZES[key]).map(str) if key in INI_SIZES
                          else st.sampled_from(INI_VALUES[key]))
@@ -858,7 +863,21 @@ def test_fuzzed_config_files_exit_0_2_or_3_with_one_error_line(tmp_path_factory,
     ("generate", PROCESS_INI + "\n[grid]\npoints = 5\n", "[grid] only applies"),
     ("montecarlo", EXPERIMENT_INI.replace("[process]", "null = t:3\n\n[process]"),
      "null only applies to cvm"),
-], ids=["generate-scalar-grid", "montecarlo-mean-norm-null"])
+    ("montecarlo", EXPERIMENT_INI + "schema = 1\n",
+     "[process] 'schema' has no effect in an experiment file"),
+    ("montecarlo", EXPERIMENT_INI + "seed = 99\n",
+     "[process] 'seed' has no effect in an experiment file"),
+    ("montecarlo", TWO_SAMPLE_INI + "schema = 1\n",
+     "[process_y] 'schema' has no effect in an experiment file"),
+    ("montecarlo", TWO_SAMPLE_INI + "seed = 99\n",
+     "[process_y] 'seed' has no effect in an experiment file"),
+    ("montecarlo", EXPERIMENT_INI.replace("[process]", "exponent = 0.9\n\n[process]"),
+     "[experiment] 'exponent' has no effect with 'block_length'"),
+    ("montecarlo", EXPERIMENT_INI.replace("[process]", "dyadic_freeze = false\n\n[process]"),
+     "[experiment] 'dyadic_freeze' has no effect with 'block_length'"),
+], ids=["generate-scalar-grid", "montecarlo-mean-norm-null", "process-schema", "process-seed",
+        "process-y-schema", "process-y-seed", "exponent-with-block-length",
+        "dyadic-freeze-with-block-length"])
 def test_settings_without_effect_exit_2_with_one_error_line(tmp_path, capsys, command, text,
                                                             message):
     config = tmp_path / "ignored.ini"
