@@ -31,6 +31,7 @@ observed statistic exceeds the critical value.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -69,6 +70,8 @@ class BlockPlan:
     """Partition of ``1..n`` into ``k`` leading blocks of length ``p``.
 
     Block ``i`` (0-based) holds the 0-based rows ``range(i*p, (i+1)*p)``.
+    ``n`` and ``p`` are read through ``operator.index``: a float raises
+    ``TypeError``, and a bool counts as 0 or 1, as it does for ``range``.
     """
 
     n: int
@@ -77,6 +80,8 @@ class BlockPlan:
     dyadic_freeze: bool = False
 
     def __post_init__(self):
+        for name in ("n", "p"):  # a float raises TypeError here, not in a later slice
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.n < 1:
             raise EmptyInputError("plan needs n >= 1")
         if not 1 <= self.p <= self.n:
@@ -120,6 +125,7 @@ def block_length_schedule(n: int, exponent: float = 1.0 / 3.0,
     dyadic_freeze : bool
         Evaluate the rule at the next power of two instead of at ``n``.
     """
+    n = operator.index(n)
     if n < 1:
         raise EmptyInputError("schedule needs n >= 1")
     if not 0.0 < exponent < 1.0:
@@ -368,6 +374,14 @@ def generator_draws(plan: BlockPlan, rng: np.random.Generator):
     return plan.k, lambda m: rng.integers(0, plan.k, size=(m, plan.k))
 
 
+def _replicate_count(B) -> int:
+    """``B`` as an ``int`` of at least 1; a float raises ``TypeError``, as a seed does."""
+    B = operator.index(B)
+    if B < 1:
+        raise EmptyInputError("need B >= 1 bootstrap replicates")
+    return B
+
+
 def _replicate_output(B: int, row_shape: tuple, dtype) -> np.ndarray:
     try:
         return np.empty((B, *row_shape), dtype=dtype)
@@ -388,8 +402,7 @@ def replicate_values(B: int, evaluate, *sources) -> np.ndarray:
     depends on the batch size.  A non-finite replicate raises
     :class:`NonFiniteStatisticError`.
     """
-    if B < 1:
-        raise EmptyInputError("need B >= 1 bootstrap replicates")
+    B = _replicate_count(B)
     out = None
     rows = max(1, BATCH_BYTES // (8 * sum(k for k, _ in sources)))
     for r0 in range(0, B, rows):
@@ -404,8 +417,7 @@ def replicate_values(B: int, evaluate, *sources) -> np.ndarray:
 
 def _callable_replicates(s: HilbertSample, plan: BlockPlan, B: int, statistic, seed: int):
     """``statistic(s, star, plan)`` on the sample assembled from each replicate's draw."""
-    if B < 1:
-        raise EmptyInputError("need B >= 1 bootstrap replicates")
+    B = _replicate_count(B)
     _, draw = stream_draws(plan, B, seed)
     out = None
     for r in range(B):

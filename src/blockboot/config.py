@@ -22,7 +22,7 @@ import configparser
 
 from .exceptions import ConfigError
 from .generators import ProcessConfig
-from .harness import ExperimentConfig, GridSpec
+from .harness import ExperimentConfig, GridSpec, ignored_setting
 
 SCHEMA = 1
 
@@ -164,10 +164,10 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     for name in ("process", "process_y"):
         for key in ("schema", "seed"):
             if name in parser and key in parser[name]:
-                raise ConfigError(f"[{name}] {key!r} has no effect in an experiment file")
+                raise ignored_setting(name, key)
     for key in ("exponent", "dyadic_freeze"):
         if key in section and "block_length" in section:
-            raise ConfigError(f"[experiment] {key!r} has no effect with 'block_length'")
+            raise ignored_setting("experiment", key)
     process = parse_process_section(parser["process"])
     process_y = (parse_process_section(parser["process_y"], "process_y")
                  if "process_y" in parser else None)

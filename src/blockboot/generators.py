@@ -145,7 +145,7 @@ def _ar1_filter(phi: float, noise: np.ndarray, x0: np.ndarray) -> np.ndarray:
 
 def _stream(cfg: ProcessConfig, n: int, rng, kinds: tuple, space: str) -> np.random.Generator:
     """``rng``, or the stream of ``cfg.seed``, once ``n >= 1`` and ``cfg.kind`` is in ``kinds``."""
-    if n < 1:
+    if operator.index(n) < 1:  # a float raises TypeError
         raise ConfigError(f"need n >= 1, got {n}")
     if cfg.kind not in kinds:
         raise ConfigError(f"{cfg.kind!r} is not a {space} process kind")

@@ -5,7 +5,9 @@ it, record the test or interval decision.  Aggregates report empirical size
 or coverage with a binomial standard error, and the Kolmogorov distance
 between the pooled bootstrap law and the Monte Carlo law of the observed
 statistic (the finite-sample target the bootstrap is supposed to match).
-Asymptotic references are reported alongside when a closed form is known.
+Asymptotic references are reported alongside when a closed form is known:
+the chi-square law with one degree of freedom for ``vstat:product`` on iid
+data, evaluated by :func:`~blockboot.dists.chdtr1` without scipy.
 
 Replication ``r`` touches only streams derived from ``(master_seed, r)``,
 one for data and one for the bootstrap draws, so deleting, reordering, or
@@ -33,7 +35,14 @@ from .bootstrap import (
 )
 # Traced by perfbench/tracing.py.
 from .bootstrap import counts_from_indices, empirical_quantile  # noqa: F401
-from .dists import Distribution, distribution_from_token, normal, standardized_uniform, student_t
+from .dists import (
+    Distribution,
+    chdtr1,
+    distribution_from_token,
+    normal,
+    standardized_uniform,
+    student_t,
+)
 from .exceptions import ConfigError
 from .generators import ProcessConfig, generate_functional, generate_real
 from .hilbert import HilbertSample
@@ -84,6 +93,13 @@ class GridSpec:
         return grid, np.full(self.points, self.weight)
 
 
+def ignored_setting(section: str, key: str) -> ConfigError:
+    """The error for an experiment setting that has no effect, worded for config files."""
+    if section == "experiment":
+        return ConfigError(f"[experiment] {key!r} has no effect with 'block_length'")
+    return ConfigError(f"[{section}] {key!r} has no effect in an experiment file")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one Monte Carlo experiment needs, in one place.
@@ -91,6 +107,13 @@ class ExperimentConfig:
     ``statistic`` selects the experiment family: ``mean-norm``,
     ``two-sample-mean``, ``cvm``, or ``vstat:<kernel>`` with kernel tokens
     ``product``, ``gaussian:<bandwidth>`` or ``cvm:<distribution>``.
+
+    ``n``, ``replicates``, ``replications``, ``block_length`` and
+    ``master_seed`` are integers: a float raises ``TypeError``.  Settings
+    that would be ignored raise :class:`ConfigError` with the config files'
+    messages: a process ``seed`` other than 0, since every stream derives
+    from ``master_seed``, and ``exponent`` or ``dyadic_freeze`` other than
+    their defaults next to ``block_length``, which leaves no schedule.
     """
 
     statistic: str
@@ -109,8 +132,19 @@ class ExperimentConfig:
     null: str = "auto"
 
     def __post_init__(self):
+        for name in ("n", "replicates", "replications", "block_length"):
+            value = getattr(self, name)  # a float raises TypeError, as for seeds
+            object.__setattr__(self, name, None if value is None else operator.index(value))
         if self.family not in _FAMILIES:
             raise ConfigError(f"unknown statistic {self.statistic!r}")
+        for name in ("process", "process_y"):  # the class attributes are the defaults
+            process = getattr(self, name)
+            if process is not None and process.seed != ProcessConfig.seed:
+                raise ignored_setting(name, "seed")
+        if self.block_length is not None:
+            for name in ("exponent", "dyadic_freeze"):
+                if getattr(self, name) != getattr(ExperimentConfig, name):
+                    raise ignored_setting("experiment", name)
         if self.n < 1:
             raise ConfigError("n must be at least 1")
         if self.replicates < 1 or self.replications < 1:
@@ -240,11 +274,10 @@ def ks_sample_vs_cdf(x, cdf) -> float:
 
 def _chi2_1_cdf(x):
     """The chi-square CDF with one degree of freedom, the law of ``n V_n`` for the
-    product kernel on standardized draws, ``n V_n = (sqrt(n) mean)^2``.  (``chdtr``
-    is NaN below 0, where the CDF is 0.)"""
-    from scipy import special
-
-    return special.chdtr(1, np.maximum(x, 0.0))
+    product kernel on standardized draws, ``n V_n = (sqrt(n) mean)^2``: Cephes
+    ``chdtr`` written out (:func:`~blockboot.dists.chdtr1`), which is NaN below
+    0, where the CDF is 0."""
+    return chdtr1(np.maximum(x, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -394,7 +394,8 @@ class TestInstalledEntryPoint:
 
 
     # scipy.special is loaded by the law that needs it (Student t) when it is
-    # built, never by an import of the package; the normal law is written out.
+    # built, never by an import of the package; the normal law and the
+    # chi-square reference of montecarlo's vstat:product are written out.
     @pytest.mark.parametrize("argv, loaded", [
         (["bootstrap"], False),
         (["cvm-test", "--dist", "uniform:-4,4"], False),
@@ -413,6 +414,25 @@ class TestInstalledEntryPoint:
                               capture_output=True, text=True, env=child_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", str(loaded)]
+
+    @pytest.mark.parametrize("statistic, extra, loaded", [
+        ("vstat:product", "", False),
+        ("cvm", "null = t:5\n", True),
+    ], ids=["vstat-product", "cvm-t"])
+    def test_montecarlo_loads_scipy_special_only_for_a_student_t_law(self, tmp_path, statistic,
+                                                                     extra, loaded):
+        config = tmp_path / "exp.ini"
+        config.write_text(EXPERIMENT_INI.replace("mean-norm", statistic)
+                          .replace("[process]", extra + "\n[process]"))
+        code = ("import sys\nfrom blockboot.cli import main\n"
+                "code = main(sys.argv[1:])\nprint(code, 'scipy.special' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code, "montecarlo", "--config", str(config),
+                               "--out", str(tmp_path / "mc")],
+                              capture_output=True, text=True, env=child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", str(loaded)]
+        aggregates = json.loads((tmp_path / "mc" / "report.json").read_text())["aggregates"]
+        assert aggregates.get("reference") == ("chi2:1" if statistic == "vstat:product" else None)
 
 # Flag values of each flag's own type, including non-finite, negative, zero,
 # tiny, huge and out-of-range ones.

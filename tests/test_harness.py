@@ -173,10 +173,30 @@ class TestConfigValidation:
         (dict(statistic="two-sample-mean", null="normal"), "null only applies to cvm"),
         (dict(null="auto", grid=GridSpec(points=5)), "only applies to functional"),
         (dict(statistic="cvm", grid=GridSpec(points=5)), "only applies to functional"),
-    ], ids=["vstat-null", "two-sample-null", "mean-norm-scalar-grid", "cvm-scalar-grid"])
+        # The config files' messages: every stream derives from master_seed,
+        # and mean_config's block_length = 5 leaves no schedule.
+        (dict(process=ProcessConfig(kind="iid", seed=99)),
+         r"^\[process\] 'seed' has no effect in an experiment file$"),
+        (dict(statistic="two-sample-mean", process_y=ProcessConfig(kind="iid", seed=5)),
+         r"^\[process_y\] 'seed' has no effect in an experiment file$"),
+        (dict(exponent=0.9), r"^\[experiment\] 'exponent' has no effect with 'block_length'$"),
+        (dict(dyadic_freeze=False),
+         r"^\[experiment\] 'dyadic_freeze' has no effect with 'block_length'$"),
+    ], ids=["vstat-null", "two-sample-null", "mean-norm-scalar-grid", "cvm-scalar-grid",
+            "process-seed", "process_y-seed", "exponent-with-block_length",
+            "dyadic_freeze-with-block_length"])
     def test_settings_without_effect_rejected(self, overrides, message):
         with pytest.raises(ConfigError, match=message):
             mean_config(**overrides)
+
+    def test_default_settings_are_accepted(self):
+        # Only a value that would be ignored is refused: the defaults, given
+        # explicitly, and a schedule without block_length are kept.
+        mean_config(process=ProcessConfig(kind="iid", seed=0), exponent=1.0 / 3.0,
+                    dyadic_freeze=True)
+        mean_config(statistic="two-sample-mean", process_y=ProcessConfig(kind="iid", seed=0))
+        cfg = mean_config(block_length=None, exponent=0.9, dyadic_freeze=False)
+        assert (cfg.exponent, cfg.dyadic_freeze) == (0.9, False)
 
     @pytest.mark.parametrize("build", [
         lambda: mean_config(statistic="two-sample-mean", mean_shift=float("inf")),

@@ -166,17 +166,19 @@ def test_checker_names_the_function_of_each_scipy_import():
 
 
 #: The functions that evaluate a special function, each importing
-#: ``scipy.special`` in its body: the Student-t law and the chi-square reference.
-SCIPY_SPECIAL_OWNERS = {"dists": "student_t", "harness": "_chi2_1_cdf"}
+#: ``scipy.special`` in its body: the Student-t law alone, since the
+#: chi-square reference is Cephes ``chdtr`` written out (``dists.chdtr1``).
+SCIPY_SPECIAL_OWNERS = {"dists": "student_t"}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
 def test_scipy_special_is_the_only_scipy_import(path):
-    # The null laws and the AR(1) recursion are written out over numpy and
-    # scipy.special; scipy.stats and scipy.signal load ~460 modules the package
-    # does not need.  scipy.special (66 modules) is imported only inside the
-    # functions that evaluate it, so neither importing the package nor building
-    # a normal or uniform law loads any scipy module.
+    # The null laws, the chi-square reference and the AR(1) recursion are
+    # written out over numpy, and the Student-t law over scipy.special;
+    # scipy.stats and scipy.signal load ~460 modules the package does not
+    # need.  scipy.special (66 modules) is imported only inside the function
+    # that evaluates it, so neither importing the package, nor building a
+    # normal or uniform law, nor the chi-square reference loads any scipy module.
     owner = SCIPY_SPECIAL_OWNERS.get(path.stem)
     expected = [] if owner is None else [(owner, "from scipy import special")]
     assert imports_by_function(path.read_text(), "scipy") == expected
