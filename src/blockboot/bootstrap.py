@@ -17,9 +17,12 @@ indices in batches of about ``BATCH_BYTES``, counts each batch with
 only array that grows with ``B`` is the replicate output.  Evaluators map
 each row on its own, so the values do not depend on the batch size.
 Callable statistics are called once per replicate on the assembled sample,
-outside the batches, with rows from the same per-replicate streams
-(:func:`stream_draws`).  A bootstrap distribution is the ``(B,)`` or
-``(B, d)`` replicate array; a non-finite replicate raises an error.
+row by row through batches of the same size from the same per-replicate
+streams.  Those streams (:func:`stream_draws`) give each row exactly what
+``derive_stream(seed, r).integers(0, k, size=k)`` gives: numpy's Lemire rule
+is applied to the rows' raw Philox words one batch at a time.  A bootstrap
+distribution is the ``(B,)`` or ``(B, d)`` replicate array; a non-finite
+replicate raises an error.
 
 Every bootstrap test decides through :func:`bootstrap_test`, which feeds the
 replicates to :func:`decide`: the critical value is the lower empirical
@@ -40,6 +43,7 @@ import numpy as np
 from .exceptions import (
     EmptyInputError,
     NonFiniteStatisticError,
+    ParameterRangeError,
     PlanMismatchError,
     ReplicateMemoryError,
     UnsupportedStatisticError,
@@ -85,7 +89,7 @@ class BlockPlan:
         if self.n < 1:
             raise EmptyInputError("plan needs n >= 1")
         if not 1 <= self.p <= self.n:
-            raise ValueError(f"block length p={self.p} must be in 1..n={self.n}")
+            raise ParameterRangeError(f"block length p={self.p} must be in 1..n={self.n}")
         object.__setattr__(self, "k", self.n // self.p)
 
     @property
@@ -129,7 +133,7 @@ def block_length_schedule(n: int, exponent: float = 1.0 / 3.0,
     if n < 1:
         raise EmptyInputError("schedule needs n >= 1")
     if not 0.0 < exponent < 1.0:
-        raise ValueError(f"exponent must lie in (0, 1), got {exponent}")
+        raise ParameterRangeError(f"exponent must lie in (0, 1), got {exponent}")
     if dyadic_freeze:
         m = 1 << max(0, (n - 1).bit_length())
     else:
@@ -352,21 +356,52 @@ def block_counts_per_replicate(plan: BlockPlan, seed: int, B: int, *tail: int) -
     return replicate_values(B, lambda counts: counts, stream_draws(plan, B, seed, *tail))
 
 
+def _redrawn_rows(scaled: np.ndarray, k: int) -> np.ndarray:
+    """Rows of ``u*k`` products whose numpy draw the batched Lemire pass cannot give.
+
+    numpy's 32-bit Lemire rule draws again where ``u*k mod 2**32`` falls below
+    ``2**32 mod k``.  For ``k > 2**32`` numpy takes its 64-bit branch
+    instead, so every row is redrawn.
+    """
+    if k > 2**32:
+        return np.arange(len(scaled))
+    return np.flatnonzero((scaled.astype(np.uint32) < 2**32 % k).any(axis=1))
+
+
 def stream_draws(plan: BlockPlan, B: int, seed: int, *tail: int):
     """Draw source whose replicate ``r`` draws from ``derive_stream(seed, r, *tail)``.
 
     A draw source is a pair ``(k, draw)``: ``draw(m)`` returns the ``(m, k)``
-    block indices of the next ``m`` replicates.
+    block indices of the next ``m`` replicates.  Row ``r`` is bit for bit
+    ``derive_stream(seed, r, *tail).integers(0, k, size=k)``: each row reads
+    its ``ceil(k/2)`` Philox words, and numpy's 32-bit Lemire rule maps their
+    32-bit halves, low half first, to ``u*k >> 32`` for the whole batch at
+    once.  A row in which numpy would reject a half is drawn again with
+    ``integers`` itself.
     """
+    k = plan.k
+    words_per_row = (k + 1) // 2
     streams = replicate_streams(seed, B, *tail)
+    start = 0
 
     def draw(m: int) -> np.ndarray:
-        idx = np.empty((m, plan.k), dtype=np.int64)
-        for row, (_, rng) in zip(idx, streams):
-            row[:] = _draw_block_indices(plan, rng)
+        nonlocal start
+        words = np.empty((m, words_per_row), dtype=np.uint64)
+        for row, (_, rng) in zip(words, streams):
+            row[:] = rng.bit_generator.random_raw(words_per_row)
+        # Little-endian words, so the uint32 view reads each word's low half
+        # first, as numpy's Philox next_uint32 does.
+        halves = words.astype("<u8", copy=False).view("<u4")[:, :k]
+        scaled = np.multiply(halves, np.uint64(k), dtype=np.uint64)
+        redrawn = _redrawn_rows(scaled, k)
+        scaled >>= np.uint64(32)
+        idx = scaled.view(np.int64)
+        for i in redrawn:
+            idx[i] = _draw_block_indices(plan, derive_stream(seed, start + i, *tail))
+        start += m
         return idx
 
-    return plan.k, draw
+    return k, draw
 
 
 def generator_draws(plan: BlockPlan, rng: np.random.Generator):
@@ -391,6 +426,11 @@ def _replicate_output(B: int, row_shape: tuple, dtype) -> np.ndarray:
         ) from exc
 
 
+def _batch_rows(k: int) -> int:
+    """Replicates per batch: about ``BATCH_BYTES`` of int64 rows of ``k`` block indices."""
+    return max(1, BATCH_BYTES // (8 * k))
+
+
 def replicate_values(B: int, evaluate, *sources) -> np.ndarray:
     """Replicate values of ``B`` bootstrap draws, filled in row batches.
 
@@ -404,7 +444,7 @@ def replicate_values(B: int, evaluate, *sources) -> np.ndarray:
     """
     B = _replicate_count(B)
     out = None
-    rows = max(1, BATCH_BYTES // (8 * sum(k for k, _ in sources)))
+    rows = _batch_rows(sum(k for k, _ in sources))
     for r0 in range(0, B, rows):
         m = min(rows, B - r0)
         idx = [draw(m) for _, draw in sources]
@@ -419,29 +459,30 @@ def _callable_replicates(s: HilbertSample, plan: BlockPlan, B: int, statistic, s
     """``statistic(s, star, plan)`` on the sample assembled from each replicate's draw."""
     B = _replicate_count(B)
     _, draw = stream_draws(plan, B, seed)
+    rows = _batch_rows(plan.k)
     out = None
-    for r in range(B):
-        try:
-            value = statistic(s, _resample(s, plan, draw(1)[0]), plan)
-        except Exception as exc:
-            exc.args = (f"replicate {r}: {exc}",)
-            raise
-        value = np.asarray(value.values if isinstance(value, GridFunction) else value,
-                           dtype=np.float64)
-        if out is None:
-            out = _replicate_output(B, value.shape, np.float64)
-        elif value.shape != out.shape[1:]:
-            raise UnsupportedStatisticError(
-                f"replicate {r}: value of shape {value.shape}, replicate 0 had {out.shape[1:]}"
-            )
-        out[r] = value
+    for r0 in range(0, B, rows):
+        for r, idx in enumerate(draw(min(rows, B - r0)), r0):
+            try:
+                value = statistic(s, _resample(s, plan, idx), plan)
+            except Exception as exc:
+                exc.args = (f"replicate {r}: {exc}",)
+                raise
+            value = np.asarray(value.values if isinstance(value, GridFunction) else value,
+                               dtype=np.float64)
+            if out is None:
+                out = _replicate_output(B, value.shape, np.float64)
+            elif value.shape != out.shape[1:]:
+                raise UnsupportedStatisticError(f"replicate {r}: value of shape {value.shape}, "
+                                                f"replicate 0 had {out.shape[1:]}")
+            out[r] = value
     return _finite(out)
 
 
 def empirical_quantile(values: np.ndarray, q: float) -> float:
     """Lower empirical quantile of scalar replicates: the ``ceil(B*q)``-th order statistic."""
     if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile level must lie in (0, 1), got {q}")
+        raise ParameterRangeError(f"quantile level must lie in (0, 1), got {q}")
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise UnsupportedStatisticError("quantiles are defined for scalar replicates only")
@@ -455,7 +496,7 @@ def empirical_quantile(values: np.ndarray, q: float) -> float:
 def _checked_observed(observed: float, level: float) -> float:
     """``observed`` as a float, once it and ``level`` are valid."""
     if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
+        raise ParameterRangeError(f"level must lie in (0, 1), got {level}")
     observed = float(observed)
     if not math.isfinite(observed):
         raise NonFiniteStatisticError(f"observed statistic is {observed}")

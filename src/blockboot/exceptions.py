@@ -13,6 +13,10 @@ class EmptyInputError(BlockbootError, ValueError):
     """An operation received an empty sample or zero-length input."""
 
 
+class ParameterRangeError(BlockbootError, ValueError):
+    """A numeric parameter (seed, stream path, block length, exponent, level) is out of range."""
+
+
 class PlanMismatchError(BlockbootError, ValueError):
     """A block plan is inconsistent with the sample it is applied to."""
 

@@ -6,7 +6,14 @@ blocks of the Philox counter space, so streams are statistically independent
 and can be consumed in any order (or in parallel) without changing results.
 The mapping from ``(seed, path)`` to a stream is part of the public contract
 and will not change between versions.  Seeds and path components are
-integers: a float raises :class:`TypeError` instead of being truncated.
+integers: a float raises :class:`TypeError` instead of being truncated, and
+an out-of-range seed or path raises :class:`ParameterRangeError`.
+
+``replicate_streams`` walks the streams ``derive_stream(seed, r, *tail)`` of
+``r = 0..B-1`` on one generator.  The bootstrap reads each of them with
+``bit_generator.random_raw`` and maps the raw words to block indices itself,
+bit for bit as ``Generator.integers`` would (see
+:func:`blockboot.bootstrap.stream_draws`).
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ from __future__ import annotations
 import operator
 
 import numpy as np
+
+from .exceptions import ParameterRangeError
 
 # Philox counter layout (little-endian 64-bit words):
 #   word 0: draw counter inside the stream (starts at 0)
@@ -42,14 +51,14 @@ def derive_stream(seed: int, *path: int) -> np.random.Generator:
     """
     seed = operator.index(seed)
     if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        raise ParameterRangeError(f"seed must be an unsigned 64-bit integer, got {seed}")
     if len(path) > _MAX_PATH:
-        raise ValueError(f"at most {_MAX_PATH} path components are supported")
+        raise ParameterRangeError(f"at most {_MAX_PATH} path components are supported")
     words = [0, len(path), 0, 0]
     for i, component in enumerate(path):
         component = operator.index(component)
         if not 0 <= component < 2**64:
-            raise ValueError(f"path component {component} out of range")
+            raise ParameterRangeError(f"path component {component} out of range")
         words[2 + i] = component
     counter = np.array(words, dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))

@@ -25,8 +25,10 @@ from blockboot.bootstrap import (
     mean_evaluator,
 )
 from blockboot.exceptions import (
+    BlockbootError,
     EmptyInputError,
     NonFiniteStatisticError,
+    ParameterRangeError,
     PlanMismatchError,
     ReplicateMemoryError,
     UnsupportedStatisticError,
@@ -438,8 +440,9 @@ class TestDecide:
 @pytest.mark.parametrize("call, error, message", [
     (lambda: BlockPlan(n=0, p=1), EmptyInputError, "plan needs n >= 1"),
     (lambda: BlockPlan(n=-3, p=1), EmptyInputError, "plan needs n >= 1"),
-    (lambda: BlockPlan(n=10, p=0), ValueError, "block length p=0 must be in 1..n=10"),
-    (lambda: BlockPlan(n=10, p=11), ValueError, "block length p=11 must be in 1..n=10"),
+    (lambda: BlockPlan(n=10, p=0), ParameterRangeError, "block length p=0 must be in 1..n=10"),
+    (lambda: BlockPlan(n=10, p=11), ParameterRangeError,
+     "block length p=11 must be in 1..n=10"),
     (lambda: bootstrap_distribution(scalar_sample(np.arange(8.0)), BlockPlan(n=8, p=2), 0,
                                     lambda s, star, plan: 0.0, 1),
      EmptyInputError, "need B >= 1 bootstrap replicates"),
@@ -452,6 +455,26 @@ def test_refusals_raise_their_type_and_message(call, error, message):
     with pytest.raises(Exception) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: derive_stream(-1), "seed must be an unsigned 64-bit integer, got -1"),
+    (lambda: derive_stream(2**64), f"seed must be an unsigned 64-bit integer, got {2**64}"),
+    (lambda: derive_stream(1, 2, 3, 4), "at most 2 path components are supported"),
+    (lambda: derive_stream(1, -1), "path component -1 out of range"),
+    (lambda: BlockPlan(n=10, p=0), "block length p=0 must be in 1..n=10"),
+    (lambda: block_length_schedule(10, exponent=1.0), "exponent must lie in (0, 1), got 1.0"),
+    (lambda: empirical_quantile(np.arange(4.0), 0.0),
+     "quantile level must lie in (0, 1), got 0.0"),
+    (lambda: decide(1.0, np.arange(4.0), 1.0), "level must lie in (0, 1), got 1.0"),
+], ids=["seed-negative", "seed-2**64", "path-length", "path-negative", "plan-p",
+        "schedule-exponent", "quantile-q", "decide-level"])
+def test_range_errors_are_blockboot_value_errors(call, message):
+    """Out-of-range parameters raise a package error that callers catching ValueError still see."""
+    with pytest.raises(ParameterRangeError) as info:
+        call()
+    assert isinstance(info.value, BlockbootError) and isinstance(info.value, ValueError)
+    assert str(info.value) == message
 
 
 class TestLongRunVariance:

@@ -36,6 +36,7 @@ from blockboot.bootstrap import (
     generator_draws,
     mean_norm_evaluator,
     replicate_values,
+    stream_draws,
     two_sample_statistics,
 )
 from blockboot.dists import normal, uniform
@@ -72,6 +73,44 @@ def test_replicate_streams_match_derived_streams(seed, B, tail):
     reused = [draws(gen) for _, gen in replicate_streams(seed, B, *tail)]
     fresh = [draws(derive_stream(seed, r, *tail)) for r in range(B)]
     assert reused == fresh
+
+
+def numpy_rows(plan, B, seed, *tail):
+    rows = [derive_stream(seed, r, *tail).integers(0, plan.k, size=plan.k) for r in range(B)]
+    return np.array(rows, dtype=np.int64).reshape(B, plan.k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 300), splits=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+       tail=st.sampled_from([(), (1,)]), seed=SEEDS)
+@example(k=1, splits=[1, 2], tail=(), seed=0)
+@example(k=2, splits=[3, 0, 1], tail=(1,), seed=7)
+def test_stream_draws_are_numpy_integers_rows(k, splits, tail, seed):
+    """Every row, over uneven batches, is ``integers(0, k, size=k)`` of the row's own stream."""
+    plan = BlockPlan(n=k, p=1)
+    _, draw = stream_draws(plan, sum(splits), seed, *tail)
+    got = np.concatenate([draw(m) for m in splits])
+    expected = numpy_rows(plan, sum(splits), seed, *tail)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("tail", [(), (1,)], ids=["no-tail", "tail-1"])
+def test_rejected_lemire_rows_are_drawn_again(tail):
+    """At k = 100000 numpy rejects a word half in some rows; those rows still match."""
+    plan = BlockPlan(n=100000, p=1)
+    with mock.patch.object(bootstrap, "_draw_block_indices",
+                           wraps=bootstrap._draw_block_indices) as redraw:
+        got = stream_draws(plan, 4, 1, *tail)[1](4)
+    assert redraw.call_count > 0
+    assert got.tobytes() == numpy_rows(plan, 4, 1, *tail).tobytes()
+
+
+def test_ranges_past_32_bits_redraw_every_row():
+    """numpy draws ``k > 2**32`` with its 64-bit branch, which the batched pass leaves alone."""
+    scaled = np.zeros((3, 2), dtype=np.uint64)
+    assert bootstrap._redrawn_rows(scaled, 2**32 + 1).tolist() == [0, 1, 2]
+    assert bootstrap._redrawn_rows(scaled, 2**32).tolist() == []
+    assert bootstrap._redrawn_rows(scaled, 3).tolist() == [0, 1, 2]  # 0 < 2**32 mod 3 = 1
 
 
 @st.composite

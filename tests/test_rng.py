@@ -16,6 +16,7 @@ from blockboot import (
     two_sample_test,
     vstat_test,
 )
+from blockboot.exceptions import ParameterRangeError
 from blockboot.generators import ProcessConfig, generate_functional, generate_real
 from blockboot.harness import ExperimentConfig
 from blockboot.rng import derive_stream
@@ -32,7 +33,7 @@ PLAN = BlockPlan(n=12, p=3)
 def test_stream_paths_outside_the_layout_are_refused(path, message):
     with pytest.raises(ValueError) as info:
         derive_stream(5, *path)
-    assert type(info.value) is ValueError and str(info.value) == message
+    assert type(info.value) is ParameterRangeError and str(info.value) == message
 
 
 @pytest.mark.parametrize("call", [
