@@ -4,17 +4,17 @@ Closed forms in the operations of ``scipy.stats`` 1.17: its CDFs and densities
 bit for bit, without loading ``scipy.stats``.  The normal CDF is Cephes
 ``ndtr`` (Moshier, *Methods and Programs for Mathematical Functions*, 1989)
 written out over numpy, which is what ``scipy.special.ndtr`` evaluates, so
-the normal and uniform laws load no scipy module.  So is the chi-square CDF
-with one degree of freedom, :func:`chdtr1`, the reference law of the
-product-kernel V-statistic: Cephes ``igam(1/2, x/2)``, which is what
-``scipy.special.chdtr(1, x)`` evaluates.  Only the Student-t law imports
+the normal and uniform laws load no scipy module.  The chi-square CDF with
+one degree of freedom, :func:`chdtr1`, the reference law of the
+product-kernel V-statistic, is built from the same pieces: the law of a
+squared standard normal, Cephes ``erf(sqrt(x/2))``, bit for bit
+``scipy.special.erf(np.sqrt(x / 2))``.  Only the Student-t law imports
 ``scipy.special`` (66 scipy modules, ~23 MB), for ``stdtr`` and ``poch``,
 when it is built, and its closures keep it, so no call imports it again.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -110,6 +110,12 @@ def _erfc_far(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _erf_series(x: np.ndarray) -> np.ndarray:
+    """Cephes ``erf(x) = x T(x^2) / U(x^2)`` for ``|x| <= 1``, odd in ``x``."""
+    tu = _horner(x * x, _TU)
+    return x * tu[0] / tu[1]
+
+
 def _ndtr(a) -> np.ndarray:
     """The standard normal CDF at ``a``, bit for bit ``scipy.special.ndtr`` (Cephes).
 
@@ -121,8 +127,7 @@ def _ndtr(a) -> np.ndarray:
     y = np.full_like(x, np.nan)
     near = z < 1.0  # erf's series, also in erfc(|x|) = 1 - erf(|x|)
     xn = x[near]
-    tu = _horner(xn * xn, _TU)
-    e = xn * tu[0] / tu[1]  # erf(x), odd in x
+    e = _erf_series(xn)
     y[near] = np.where(np.abs(xn) < _SQRTH, 0.5 + 0.5 * e, 0.5 * (1.0 - np.abs(e)))
     far = z >= 1.0
     if far.any():
@@ -132,205 +137,22 @@ def _ndtr(a) -> np.ndarray:
     return y[()]
 
 
-# Cephes igam.c (Moshier 1989) as revised in scipy's xsf, the code of
-# scipy.special.chdtr, at the one shape it is used with: chdtr(1, x) =
-# igam(1/2, x/2).  Terms that depend only on a = 1/2 are literals; igam_fac
-# needs no a >= 200 path, and the asymptotic series for a > 20 never apply.
-_A = 0.5
-_LGAM_A = 0.5723649429247  # Cephes lgam(1/2), one ulp below log(sqrt(pi))
-_LGAM1P_A = -0.12078223763524884  # Cephes lgam1p(1/2), its Taylor series in zeta(n)
-_LANCZOS_FAC = 6.024680040776729583740234375  # a + lanczos_g - 1/2, lanczos_g exactly
-_LANCZOS_SUM_A = 1.772453850905516  # lanczos_sum_expg_scaled(1/2), one ulp above sqrt(pi)
-_LANCZOS_SCALE = math.sqrt(_LANCZOS_FAC / math.exp(1.0)) / _LANCZOS_SUM_A
-_MACHEP = 1.11022302462515654042E-16  # 2^-53
-_MAXITER = 2000
-_CHDTR_POINTS = 4096  # bounds the temporaries of one call to ~7 MB
-_SERIES_STEPS = 18  # both series stop within 18 steps for y <= 1.1, so one chunk does
-_CF_STEPS = 32  # continued-fraction steps between stop tests; y near 1.1 takes ~90
-_BIG, _BIGINV = 4.503599627370496e15, 2.22044604925031308085e-16  # 2^52 and 2^-52
-# Cephes expm1 on |x| <= 1/2, the only range igamc_series reaches here:
-# x P(x^2) and Q(x^2), both polevl, so P is led by a zero.
-_EXPM1_PQ = np.array([(0.0, 1.2617719307481059087798E-4, 3.0299440770744196129956E-2,
-                       9.9999999999999999991025E-1),
-                      (3.0019850513866445504159E-6, 2.5244834034968410419224E-3,
-                       2.2726554820815502876593E-1, 2.0000000000000000000897E0)]).T[:, :, None]
-
-
-def _libm(f, x: np.ndarray, *args: float) -> np.ndarray:
-    """``f(x, *args)`` of the C library (``math.log``, ``math.pow``) per element:
-    numpy's float64 ``log`` and its complex one are a bit off on some points."""
-    return np.fromiter(map(f, x.tolist(), *map(itertools.repeat, args)), np.float64, count=x.size)
-
-
-def _igam_fac(y: np.ndarray) -> np.ndarray:
-    """Cephes ``igam_fac(1/2, y) = y^a exp(-y) / Gamma(a)`` for finite ``y > 0``."""
-    out = np.empty_like(y)
-    near = ~(np.abs(_A - y) > 0.4 * _A)  # scipy's Lanczos form, 0.3 <= y <= 0.7
-    yn, yf = y[near], y[~near]
-    out[near] = _LANCZOS_SCALE * (_exp(_A - yn) * _libm(math.pow, yn / _LANCZOS_FAC, _A))
-    ax = _A * _libm(math.log, yf) - yf - _LGAM_A
-    out[~near] = np.where(ax < -_MAXLOG, 0.0, _exp(ax))
-    return out
-
-
-def _first_stop(chunk, state: list[np.ndarray], size: int, steps: int = _MAXITER) -> np.ndarray:
-    """Cephes' loop ``for i < steps: step i; if stop: break`` over arrays: each
-    element's value at the step where it stops, or after ``steps`` steps.
-
-    ``chunk(i0, n, state)`` performs steps ``i0 .. i0 + n - 1`` on every
-    element, ``n <= size``, updates the arrays in ``state`` and returns the
-    ``(n, m)`` stop tests and values of those steps.  An element that stops
-    runs on to the end of its chunk, and those steps are not read; then the
-    arrays drop it.  (Such steps stay in the float range: series terms only
-    shrink, and the continued fraction rescales its terms.  No ``errstate``
-    is set, which would slow every numpy call in the loops.)
-    """
-    out = np.empty(state[0].shape[-1])
-    live = np.arange(out.size)
-    for i0 in range(0, steps if out.size else 0, size):
-        stop, value = chunk(i0, min(size, steps - i0), state)
-        hit = stop.any(axis=0)
-        if i0 + len(stop) == steps:
-            out[live[~hit]] = value[-1, ~hit]
-        if hit.any():
-            cols = np.flatnonzero(hit)
-            out[live[cols]] = value[stop[:, cols].argmax(axis=0), cols]
-            keep = ~hit
-            live = live[keep]
-            if not live.size:
-                break
-            state[:] = [v[..., keep] for v in state]
-    return out
-
-
-def _run_on(first: np.ndarray, ufunc, steps: np.ndarray) -> np.ndarray:
-    """The rows of ``v = first; for s in steps: v = ufunc(v, s)``, one rounding
-    per step as in a scalar loop (``ufunc.accumulate`` is slower)."""
-    out = np.empty_like(steps)
-    for row, step in zip(out, steps):
-        first = ufunc(first, step, out=row)
-    return out
-
-
-def _igam_series(y: np.ndarray) -> np.ndarray:
-    """Cephes ``igam_series(1/2, y)``, DLMF 8.11.4, for finite ``y > 0``."""
-    ax = _igam_fac(y)
-    out = np.zeros_like(y)
-    live = ax != 0.0
-
-    def chunk(i0, n, state):  # r = a + i + 1; c *= x / r; ans += c
-        x, c, ans = state
-        c = _run_on(c, np.multiply, x / (_A + np.arange(i0 + 1, i0 + n + 1))[:, None])
-        ans = _run_on(ans, np.add, c)
-        state[1:] = c[-1], ans[-1]
-        return c <= _MACHEP * ans, ans
-
-    x = y[live]
-    ans = _first_stop(chunk, [x, np.ones_like(x), np.ones_like(x)], _SERIES_STEPS)
-    out[live] = ans * ax[live] / _A
-    return out
-
-
-def _igamc_series(y: np.ndarray) -> np.ndarray:
-    """Cephes ``igamc_series(1/2, y)``, DLMF 8.7.3, for ``y`` in (0, 1.1]."""
-
-    def chunk(i0, n, state):  # fac *= -x / n; term = fac / (a + n); sum += term
-        minus_y, fac, total = state
-        k = np.arange(i0 + 1, i0 + n + 1, dtype=np.float64)[:, None]
-        fac = _run_on(fac, np.multiply, minus_y / k)
-        term = fac / (_A + k)
-        total = _run_on(total, np.add, term)
-        state[1:] = fac[-1], total[-1]
-        return np.abs(term) <= _MACHEP * np.abs(total), total
-
-    total = _first_stop(chunk, [-y, np.ones_like(y), np.zeros_like(y)], _SERIES_STEPS, _MAXITER - 1)
-    a_logy = _A * _libm(math.log, y)
-    z = a_logy - _LGAM1P_A  # in [-1/2, 1/2]
-    pq = _horner(z * z, _EXPM1_PQ)
-    r = z * pq[0]
-    r /= pq[1] - r
-    return -(r + r) - _exp(a_logy - _LGAM_A) * total
-
-
-def _igamc_continued_fraction(y: np.ndarray) -> np.ndarray:
-    """Cephes ``igamc_continued_fraction(1/2, y)``, DLMF 8.9.2, for finite ``y > 1.1``."""
-    ax = _igam_fac(y)
-    out = np.zeros_like(y)
-    live = ax != 0.0
-
-    def chunk(i0, n, state):
-        ans, p, p2, z = state  # rows pkm1, qkm1 and pkm2, qkm2; z twice, for p and q
-        rows = []
-        for j in range(n):
-            c = i0 + j + 1.0  # and y = 1 - a + c
-            z += 2.0
-            pq = p * z
-            pq -= p2 * ((1.0 - _A + c) * c)
-            p, p2 = pq, p
-            rows.append(pq)
-        # Cephes scales the four terms by 2^-52 where |pk| > 2^52.  Scaling
-        # by a power of two is exact and the convergents are ratios, so
-        # scaling pk to [1/2, 1) once a chunk in its place, far below the
-        # float range's limit on growth, leaves every value as it is.
-        e = -np.frexp(p[0])[1]
-        state[1:3] = np.ldexp(p, e), np.ldexp(p2, e)
-        pq = np.stack(rows)  # rows pk and qk of each step
-        r = pq[:, 0] / pq[:, 1]
-        zero = pq[:, 1] == 0
-        if zero.any():  # Cephes keeps ans where qk = 0, with t = 1
-            for j, at in enumerate(zero):
-                r[j, at] = (r[j - 1] if j else ans)[at]
-        stop = np.abs((np.concatenate([ans[None], r[:-1]]) - r) / r) <= _MACHEP
-        stop &= ~zero
-        state[0] = r[-1]
-        return stop, r
-
-    x = y[live]
-    z = x + (1.0 - _A) + 1.0
-    p = np.stack([x + 1.0, z * x])
-    state = [p[0] / p[1], p, np.stack([np.ones_like(x), x]), np.stack([z, z])]
-    out[live] = _first_stop(chunk, state, _CF_STEPS) * ax[live]
-    return out
-
-
-def _fill(out: np.ndarray, at: np.ndarray, f, y: np.ndarray) -> None:
-    """``out[at] = f(y[at])``, without calling ``f`` where ``at`` selects nothing."""
-    if at.any():
-        out[at] = f(y[at])
-
-
-def _igamc(y: np.ndarray) -> np.ndarray:
-    """Cephes ``igamc(1/2, y)``, the upper regularized incomplete gamma, for finite ``y > 0``."""
-    out = np.empty_like(y)
-    far = y > 1.1  # y < a is impossible past 1.1
-    _fill(out, far, _igamc_continued_fraction, y)
-    lower = y <= 0.5  # and y * 1.1 < a never holds past 0.5
-    lower[lower] = -0.4 / _libm(math.log, y[lower]) < _A
-    _fill(out, lower, lambda v: 1.0 - _igam_series(v), y)
-    _fill(out, ~(far | lower), _igamc_series, y)
-    return out
-
-
 def chdtr1(x) -> np.ndarray:
-    """The chi-square CDF with one degree of freedom, bit for bit
-    ``scipy.special.chdtr(1, x)``: Cephes ``igam(1/2, x/2)``.  NaN below 0 and at NaN.
-
-    Points are taken ``_CHDTR_POINTS`` at a time, which bounds the loops'
-    temporaries.
-    """
+    """The chi-square CDF with one degree of freedom, the law of a squared
+    standard normal: Cephes ``erf(sqrt(x/2))``, bit for bit
+    ``scipy.special.erf(np.sqrt(x / 2))``.  NaN below 0 and at NaN; ``+0.0``
+    at ``-0.0``."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-    for i in range(0, x.size, _CHDTR_POINTS):
-        part = flat_x[i : i + _CHDTR_POINTS]
-        y = part / 2.0  # 5e-324 / 2 rounds to 0
-        values = np.full_like(y, np.nan)
-        values[(y == 0.0) & ~(part < 0.0)] = 0.0
-        values[y == np.inf] = 1.0
-        _fill(values, (y > 0.0) & (y <= 1.0), _igam_series, y)
-        # igam: 1 - igamc where y > 1 and y > a
-        _fill(values, (y > 1.0) & (y < np.inf), lambda v: 1.0 - _igamc(v), y)
-        flat_out[i : i + _CHDTR_POINTS] = values
+    out = np.full_like(x, np.nan)
+    live = x >= 0.0
+    z = np.sqrt(x[live] / 2.0) + 0.0  # + 0.0: erf(-0.0) is -0.0
+    near = z <= 1.0
+    e = np.empty_like(z)
+    e[near] = _erf_series(z[near])
+    far = ~near
+    if far.any():
+        e[far] = 1.0 - _erfc_far(z[far])
+    out[live] = e
     return out[()]
 
 

@@ -7,7 +7,8 @@ between the pooled bootstrap law and the Monte Carlo law of the observed
 statistic (the finite-sample target the bootstrap is supposed to match).
 Asymptotic references are reported alongside when a closed form is known:
 the chi-square law with one degree of freedom for ``vstat:product`` on iid
-data, evaluated by :func:`~blockboot.dists.chdtr1` without scipy.
+data, evaluated as ``erf(sqrt(x/2))`` by :func:`~blockboot.dists.chdtr1`
+without scipy.
 
 Replication ``r`` touches only streams derived from ``(master_seed, r)``,
 one for data and one for the bootstrap draws, so deleting, reordering, or
@@ -275,8 +276,8 @@ def ks_sample_vs_cdf(x, cdf) -> float:
 def _chi2_1_cdf(x):
     """The chi-square CDF with one degree of freedom, the law of ``n V_n`` for the
     product kernel on standardized draws, ``n V_n = (sqrt(n) mean)^2``: Cephes
-    ``chdtr`` written out (:func:`~blockboot.dists.chdtr1`), which is NaN below
-    0, where the CDF is 0."""
+    ``erf(sqrt(x/2))`` written out (:func:`~blockboot.dists.chdtr1`), which is
+    NaN below 0, where the CDF is 0."""
     return chdtr1(np.maximum(x, 0.0))
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DomainMismatchError, EmptyInputError
+from .exceptions import DomainMismatchError, EmptyInputError, NonFiniteStatisticError
 
 
 def _as_float_array(x, name: str) -> np.ndarray:
@@ -31,13 +31,26 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
+def _checked_grid(grid) -> np.ndarray:
+    """``grid`` as a float array: nonempty, strictly increasing and finite."""
+    grid = _as_float_array(grid, "grid")
+    if grid.size == 0:
+        raise EmptyInputError("grid must contain at least one point")
+    if grid.size > 1 and not np.all(grid[1:] > grid[:-1]):
+        raise ValueError("grid must be strictly increasing")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid must be finite")
+    return grid
+
+
 def trapezoid_weights(grid, pointwise_w=None) -> np.ndarray:
     """Combine a pointwise weight function with trapezoid-rule cell widths.
 
     Parameters
     ----------
     grid : array_like
-        Strictly increasing abscissae ``t_1 < ... < t_d``.
+        Strictly increasing finite abscissae ``t_1 < ... < t_d``; any other
+        grid raises ``ValueError``.
     pointwise_w : array_like, optional
         Values of the weight function at the grid points; defaults to 1.
 
@@ -48,10 +61,8 @@ def trapezoid_weights(grid, pointwise_w=None) -> np.ndarray:
         half the distance to each neighbour, and for a single-point grid the
         conventional width 1 (the scalar case).
     """
-    grid = _as_float_array(grid, "grid")
+    grid = _checked_grid(grid)
     d = grid.size
-    if d == 0:
-        raise EmptyInputError("grid must contain at least one point")
     if pointwise_w is None:
         w = np.ones(d)
     else:
@@ -76,17 +87,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def _freeze_space(obj, values: np.ndarray, rows: str) -> None:
     """Check ``obj``'s grid and weights and the finite ``values``, whose last
     axis (named ``rows`` in errors) runs over the grid; store all three frozen."""
-    grid = _as_float_array(obj.grid, "grid")
+    grid = _checked_grid(obj.grid)
     weights = _as_float_array(obj.weights, "weights")
     d = grid.size
-    if d == 0:
-        raise EmptyInputError("grid must contain at least one point")
     if weights.size != d:
         raise ValueError("weights must match the grid length")
-    if d > 1 and not np.all(grid[1:] > grid[:-1]):
-        raise ValueError("grid must be strictly increasing")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("grid must be finite")
     if not np.all(np.isfinite(weights)) or np.any(weights < 0):
         raise ValueError("weights must be finite and nonnegative")
     if not np.any(weights > 0):
@@ -198,6 +203,11 @@ def norm(f: GridFunction) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")
 def sample_mean(s: HilbertSample) -> GridFunction:
-    """Pointwise average of the observations."""
-    return GridFunction(s.grid, s.values.mean(axis=0), s.weights)
+    """Pointwise average of the observations; :class:`NonFiniteStatisticError`
+    where their sum overflows."""
+    mean = s.values.mean(axis=0)
+    bad = mean[~np.isfinite(mean)]
+    if bad.size:
+        raise NonFiniteStatisticError(f"sample mean is {bad[0]}")
+    return GridFunction(s.grid, mean, s.weights)
 

@@ -151,4 +151,8 @@ def read_sample(data_path: str, sidecar_path: str | None = None) -> HilbertSampl
             f"{sidecar_path}: grid length {grid.size} does not match "
             f"{values.shape[1]} data columns"
         )
-    return HilbertSample(grid, trapezoid_weights(grid, w), values)
+    try:
+        weights = trapezoid_weights(grid, w)
+    except ValueError as exc:  # an unsorted grid
+        raise ValueError(f"{sidecar_path}: {exc}") from exc
+    return HilbertSample(grid, weights, values)

@@ -312,6 +312,8 @@ def make_cvm_spec(cdf, support: tuple[float, float], weight_fn=None,
     lo, hi = float(support[0]), float(support[1])
     if not lo < hi:
         raise CvmSpecError(f"support must be a nonempty interval, got ({lo}, {hi})")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise CvmSpecError(f"support must be finite, got ({lo}, {hi})")
     grid = np.linspace(lo, hi, n_grid)
     if sample is not None:
         points = sample.scalars()

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from blockboot import dists
 from blockboot.dists import chdtr1, distribution_from_token, normal, student_t, uniform
 from blockboot.exceptions import ConfigError
 
@@ -116,13 +115,13 @@ def test_normal_cdf_is_scipy_ndtr_bit_for_bit_on_a_dense_grid():
     assert same_bits(normal().cdf(z), special.ndtr(z))
 
 
-# chdtr(1, x) = igam(1/2, x/2).  Cephes changes method at x/2 = 0.3 and 0.7
-# (igam_fac's Lanczos form), 0.5, 1 (igam turns to 1 - igamc) and 1.1
-# (igamc's continued fraction); igam_fac is 0 past x/2 ~ 712.5, short of
-# exp's subnormal range, which ends at x/2 ~ 745.
-CHI2_BRANCHES = [0.6, 1.0, 1.4, 2.0, 2.2]
+# chdtr1(x) = erf(sqrt(x/2)).  Cephes erf changes method at z = sqrt(x/2) = 1
+# (x = 2: the series, then 1 - erfc) and erfc at z = 8 (x = 128: P/Q, then
+# R/S); exp(-z^2) underflows just above x = 2 MAXLOG ~ 1419.56.
+MAXLOG = 7.09782712893383996843E2
+CHI2_BRANCHES = [2.0, 128.0, 2.0 * MAXLOG]
 CHI2_X = st.one_of(
-    st.floats(0.0, 100.0),
+    st.floats(0.0, 200.0),
     st.builds(lambda edge, ulps: edge + ulps * math.ulp(edge),
               st.sampled_from(CHI2_BRANCHES), st.integers(-4, 4)),
     st.floats(1400.0, 1520.0),
@@ -132,78 +131,36 @@ CHI2_X = st.one_of(
 )
 
 
-def igamc_reference(y: np.ndarray) -> np.ndarray:
+def chi2_1_reference(x) -> np.ndarray:
+    """``scipy.special.erf(np.sqrt(x/2))``, NaN below 0 and +0.0 at -0.0."""
+    x = np.asarray(x, dtype=np.float64)
     with np.errstate(all="ignore"):
-        return special.gammaincc(0.5, y)
+        return np.where(x < 0.0, np.nan, special.erf(np.sqrt(x / 2.0))) + 0.0
 
 
 @settings(max_examples=300, deadline=None)
 @given(x=st.lists(CHI2_X, min_size=1, max_size=60))
-def test_chdtr1_is_scipy_chdtr_bit_for_bit(x):
-    # The written-out Cephes igam(1/2, x/2) against scipy.special.chdtr(1, x),
-    # which evaluates the same code; and its igamc against gammaincc(1/2, .),
-    # whose y <= 1/2 branch and exp underflow chdtr cannot see.
+def test_chdtr1_is_scipy_erf_bit_for_bit(x):
+    # The written-out Cephes erf(sqrt(x/2)) against scipy.special.erf, which
+    # evaluates the same code.
     x = np.array(x)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ours = chdtr1(x)
-    with np.errstate(all="ignore"):
-        assert same_bits(ours, special.chdtr(1, x))
-        assert same_bits(chdtr1(x[0]), special.chdtr(1, x[0]))
-    y = x[(x > 0) & (x < math.inf)] / 2.0
-    y = y[y > 0]
-    assert same_bits(dists._igamc(y), igamc_reference(y))
+        first = chdtr1(x[0])
+    assert same_bits(ours, chi2_1_reference(x))
+    assert same_bits(first, chi2_1_reference(x[0]))
 
 
-def test_chdtr1_is_scipy_chdtr_bit_for_bit_on_a_dense_grid():
-    # Any literal or stopping step off moves some of these values.  Points
-    # taken one at a time check the loops at size 1.
-    x = np.linspace(0.0, 100.0, 400001)
-    assert same_bits(chdtr1(x), special.chdtr(1, x))
-    y = x[1:] / 2.0
-    assert same_bits(dists._igamc(y), igamc_reference(y))
-    assert same_bits([chdtr1(v) for v in x[::400]], special.chdtr(1, x[::400]))
-
-
-# Cephes lanczos.h (Boost's lanczos13m53): the scaled Lanczos sum is a ratio
-# of polynomials of degree 12, highest coefficient first.
-LANCZOS_NUM = [0.006061842346248906525783753964555936883222,
-               0.5098416655656676188125178644804694509993,
-               19.51992788247617482847860966235652136208,
-               449.9445569063168119446858607650988409623,
-               6955.999602515376140356310115515198987526,
-               75999.29304014542649875303443598909137092,
-               601859.6171681098786670226533699352302507,
-               3481712.15498064590882071018964774556468,
-               14605578.08768506808414169982791359218571,
-               43338889.32467613834773723740590533316085,
-               86363131.28813859145546927288977868422342,
-               103794043.1163445451906271053616070238554,
-               56906521.91347156388090791033559122686859]
-LANCZOS_DEN = [1, 66, 1925, 32670, 357423, 2637558, 13339535, 45995730, 105258076, 150917976,
-               120543840, 39916800, 0]
-LANCZOS_G = 6.024680040776729583740234375
-
-
-def test_chdtr1_literals_are_the_cephes_values_at_one_half():
-    a = 0.5
-    assert dists._LGAM_A == special.gammaln(a)
-    # xsf's lgam1p(a) for |a| <= 1/2: its Taylor series in zeta(n, 1).
-    res, xfac = -np.euler_gamma * a, -a
-    for n in range(2, 42):
-        xfac *= -a
-        coeff = special.zeta(n, 1) * xfac / n
-        res += coeff
-        if abs(coeff) < dists._MACHEP * abs(res):
-            break
-    assert dists._LGAM1P_A == res
-    num = den = 0.0
-    for p, q in zip(LANCZOS_NUM, LANCZOS_DEN):  # ratevl for |a| <= 1
-        num, den = num * a + p, den * a + q
-    assert dists._LANCZOS_SUM_A == num / den
-    # Gamma(a) = sum * ((a + g - 1/2)/e)^(a - 1/2), which is the sum itself at a = 1/2.
-    assert ulp_distance(num / den, special.gamma(a))[0] <= 1
-    assert dists._LANCZOS_FAC == a + LANCZOS_G - 0.5
+def test_chdtr1_is_scipy_erf_bit_for_bit_on_a_dense_grid():
+    # Any coefficient of the Cephes tables off by a relative 1e-10 moves some
+    # of these values.  Points taken one at a time check scalar calls.
+    x = np.linspace(0.0, 200.0, 800001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = chdtr1(x)
+    assert same_bits(ours, chi2_1_reference(x))
+    assert same_bits([chdtr1(v) for v in x[::800]], chi2_1_reference(x[::800]))
 
 
 @pytest.mark.parametrize("token", [

@@ -38,6 +38,24 @@ class TestTrapezoidWeights:
     def test_single_point_uses_unit_cell(self):
         assert trapezoid_weights([3.0], [2.5]) == pytest.approx([2.5])
 
+    @pytest.mark.parametrize("grid, error, message", [
+        ([], EmptyInputError, "grid must contain at least one point"),
+        ([1.0, 0.0, 2.0], ValueError, "grid must be strictly increasing"),
+        ([0.0, 0.0], ValueError, "grid must be strictly increasing"),
+        ([0.0, np.nan], ValueError, "grid must be strictly increasing"),
+        ([0.0, np.inf], ValueError, "grid must be finite"),
+        ([-np.inf, 0.0], ValueError, "grid must be finite"),
+    ], ids=["empty", "unsorted", "repeated", "nan", "inf", "minus-inf"])
+    def test_bad_grid_is_refused(self, grid, error, message):
+        # The rule GridFunction and HilbertSample apply to their grids.
+        for call in (lambda: trapezoid_weights(grid),
+                     lambda: GridFunction(grid, np.ones(len(grid)), np.ones(len(grid)))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(error) as info:
+                    call()
+            assert str(info.value) == message
+
     def test_nonuniform_grid_matches_numpy_trapezoid(self):
         rng = derive_stream(5)
         grid = np.sort(rng.uniform(0, 1, 40))
@@ -249,6 +267,10 @@ class TestCsvReader:
         with pytest.raises(ValueError, match="non-finite value") as info:
             read_sample(str(data))
         assert str(info.value) == f"{sidecar}:3: non-finite value"
+        sidecar.write_text("grid,w\n1,1\n0,1\n")
+        with pytest.raises(ValueError) as info:
+            read_sample(str(data))
+        assert str(info.value) == f"{sidecar}: grid must be strictly increasing"
         sidecar.write_text("grid,w\n \n")
         with pytest.raises(EmptyInputError, match="no data rows") as info:
             read_sample(str(data))

@@ -167,7 +167,8 @@ def test_checker_names_the_function_of_each_scipy_import():
 
 #: The functions that evaluate a special function, each importing
 #: ``scipy.special`` in its body: the Student-t law alone, since the
-#: chi-square reference is Cephes ``chdtr`` written out (``dists.chdtr1``).
+#: chi-square reference is Cephes ``erf(sqrt(x/2))`` written out over the
+#: normal CDF's pieces (``dists.chdtr1``).
 SCIPY_SPECIAL_OWNERS = {"dists": "student_t"}
 
 

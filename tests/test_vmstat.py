@@ -496,6 +496,14 @@ class TestCvmStatistic:
             CvmSpec(cdf=cdf, grid=np.asarray(grid), weights=np.asarray(weights))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("support", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)])
+    def test_non_finite_support_is_refused_without_warnings(self, support):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CvmSpecError) as info:
+                make_cvm_spec(lambda t: np.clip(t, 0.0, 1.0), support)
+        assert str(info.value) == f"support must be finite, got {support}"
+
     def test_matches_v_statistic_with_induced_kernel(self):
         # The weighted squared CDF distance is a V-statistic whose kernel is
         # the discretized inner product of centered indicators.
