@@ -137,10 +137,19 @@ def _innovations(cfg: ProcessConfig, rng: np.random.Generator, shape) -> np.ndar
 
 def _ar1_filter(phi: float, noise: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """``y[i] = noise[i] + phi * y[i-1]`` along axis 0 from ``y[-1] = x0``: the bits of
-    ``scipy.signal.lfilter``, written out so that scipy.signal is not loaded."""
+    ``scipy.signal.lfilter``, written out so that scipy.signal is not loaded.
+
+    A 2-D ``noise`` is overwritten with ``y`` row by row and returned, so the
+    recursion allocates no second ``(burn_in + n, d)`` array; a 1-D ``noise`` is
+    left as it is.
+    """
     if noise.ndim == 1:  # Python floats round as numpy's do, at a fraction of the cost per step
         noise, x0 = noise.tolist(), float(x0)
-    return np.array([x0 := row + phi * x0 for row in noise])
+        return np.array([x0 := row + phi * x0 for row in noise])
+    for row in noise:
+        row += phi * x0
+        x0 = row
+    return noise
 
 
 def _stream(cfg: ProcessConfig, n: int, rng, kinds: tuple, space: str) -> np.random.Generator:

@@ -8,14 +8,19 @@ on read.  Scalar series need no sidecar.
 
 All floats are written with ``repr``, which round-trips every finite double
 bit-exactly.  Both files are read with :func:`numpy.loadtxt`, which gives each
-cell the double ``float`` gives it; blank lines are skipped.  A cell that is
-not a number or is not finite, or a row whose column count differs from the
-first row's, is a :class:`ValueError` that starts ``<path>:<line>:``, with
-the 1-based line of the file.
+cell the double ``float`` gives it; blank lines are skipped.  Lines break where
+``str.splitlines`` breaks them, and they are passed to ``loadtxt`` one at a
+time, so a read holds neither the file's text nor a list of its lines: its
+peak is about twice the parsed table (the table and the sample's frozen copy).
+A cell that is not a number or is not finite, or a row whose column count
+differs from the first row's, is a :class:`ValueError` that starts
+``<path>:<line>:``, with the 1-based line of the file; the file is read again
+to find that line.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
@@ -29,8 +34,8 @@ def _fmt_row(row) -> str:
     return ",".join(repr(float(v)) for v in row)
 
 
-def _loads(text: str) -> np.ndarray:
-    return np.loadtxt(text, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+def _loads(lines) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
 
 
 def _is_number(cell: str) -> bool:
@@ -60,20 +65,36 @@ def _bad_row(lines: list[str], path: str, first: int) -> None:
                                  f"{cell.strip()!r}")
 
 
-def _parse_rows(lines: list[str], path: str, first: int = 1) -> np.ndarray:
-    """The rows of ``lines``, line ``first`` onward of ``path``, as a finite float matrix."""
-    lines = [line if line.strip() else "" for line in lines]  # numpy rejects "   "
-    if not any(lines):
+def _lines(fh):
+    """The lines of ``fh`` as ``str.splitlines`` splits its whole text, whitespace-only
+    lines as ``""`` (numpy skips ``""`` and rejects ``"   "``)."""
+    for physical in fh:  # universal newlines: "\r" and "\r\n" arrive as "\n"
+        for line in physical.splitlines():
+            yield line if line.strip() else ""
+
+
+def _file_lines(path: str, first: int) -> list[str]:
+    """Lines ``first`` onward of ``path``, as :func:`_lines` gives them, from the whole text
+    decoded at once, so that a byte that is not ASCII is named by its offset in the file."""
+    with open(path, "r", encoding="ascii") as fh:
+        return list(_lines([fh.read()]))[first - 1 :]
+
+
+def _parse_rows(lines, path: str, first: int = 1) -> np.ndarray:
+    """The rows of ``lines``, line ``first`` onward of ``path`` from :func:`_lines`, as a
+    finite float matrix.  ``lines`` is read once; an error re-reads ``path`` to name its line."""
+    head = next((line for line in lines if line), None)
+    if head is None:
         raise EmptyInputError(f"{path}: no data rows")
     try:
-        table = _loads(lines)
+        table = _loads(itertools.chain([head], lines))
     except ValueError as exc:
-        _bad_row(lines, path, first)
+        _bad_row(_file_lines(path, first), path, first)
         raise ValueError(f"{path}: {exc}") from exc
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
-        number = [i for i, line in enumerate(lines, first) if line][np.argmin(finite)]
-        raise ValueError(f"{path}:{number}: non-finite value")
+        rows = [i for i, line in enumerate(_file_lines(path, first), first) if line]
+        raise ValueError(f"{path}:{rows[np.argmin(finite)]}: non-finite value")
     return table
 
 
@@ -128,7 +149,7 @@ def read_sample(data_path: str, sidecar_path: str | None = None) -> HilbertSampl
     the trapezoid rule from the recorded grid and pointwise weights.
     """
     with open(data_path, "r", encoding="ascii") as fh:
-        values = _parse_rows(fh.read().splitlines(), data_path)
+        values = _parse_rows(_lines(fh), data_path)
     if sidecar_path is None:
         default = data_path + ".grid.csv"
         sidecar_path = default if os.path.exists(default) else None
@@ -139,10 +160,10 @@ def read_sample(data_path: str, sidecar_path: str | None = None) -> HilbertSampl
         grid = np.arange(d, dtype=np.float64)
         return HilbertSample(grid, trapezoid_weights(grid), values)
     with open(sidecar_path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip().lower() != "grid,w":
-        raise ValueError(f"{sidecar_path}: expected header 'grid,w'")
-    table = _parse_rows(lines[1:], sidecar_path, first=2)
+        lines = _lines(fh)
+        if next(lines, "").strip().lower() != "grid,w":
+            raise ValueError(f"{sidecar_path}: expected header 'grid,w'")
+        table = _parse_rows(lines, sidecar_path, first=2)
     if table.shape[1] != 2:
         raise ValueError(f"{sidecar_path}: expected two columns (grid, w)")
     grid, w = table[:, 0], table[:, 1]

@@ -41,7 +41,7 @@ from .exceptions import (
     NonFiniteStatisticError,
     ReplicateMemoryError,
 )
-from .hilbert import HilbertSample, _frozen, trapezoid_weights
+from .hilbert import HilbertSample, _checked_grid, _frozen, trapezoid_weights
 from .rng import derive_stream
 
 #: Bytes of one float64 temporary in a tile of a kernel mesh.
@@ -282,8 +282,10 @@ class CvmSpec:
         weights = np.asarray(self.weights, dtype=np.float64)
         if grid.ndim != 1 or grid.size == 0:
             raise CvmSpecError("grid must be a nonempty 1-D array")
-        if grid.size > 1 and not np.all(grid[1:] > grid[:-1]):
-            raise CvmSpecError("grid must be strictly increasing")
+        try:
+            grid = _checked_grid(grid)
+        except ValueError as exc:  # unsorted or not finite
+            raise CvmSpecError(str(exc)) from exc
         if weights.shape != grid.shape:
             raise CvmSpecError("weights must match the grid")
         if not np.all(np.isfinite(weights)) or np.any(weights < 0):

@@ -17,9 +17,11 @@ block counts instead:
 
 It also holds the Kolmogorov distances over every point,
 :func:`ks_two_sample` and :func:`ks_sample_vs_cdf`, which the harness
-evaluates only where the supremum can lie, and :func:`max_block_gram`, the
+evaluates only where the supremum can lie, :func:`max_block_gram`, the
 max-profile Gram from cumulative sums of block-equality masks, which the
-package builds by a running sum in place.
+package builds by a running sum in place, and :func:`ar1_recursion`, the
+AR(1) recursion as a stack of new rows, which the package runs in place in
+the noise array.
 """
 
 from __future__ import annotations
@@ -137,6 +139,11 @@ def ar1_long_run_variance(phi: float, innovation_variance: float = 1.0,
         if abs(term) < tol * abs(gamma0):
             return total
         j += 1
+
+
+def ar1_recursion(phi: float, noise, x0) -> np.ndarray:
+    """``y[i] = noise[i] + phi * y[i-1]`` from ``y[-1] = x0``: one new row per step, stacked."""
+    return np.array([x0 := row + phi * x0 for row in np.asarray(noise, dtype=np.float64)])
 
 
 def brute_force_ecdf(sample, t) -> float:

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
-from blockboot import ProcessConfig, generate_functional, generate_real
+from blockboot import ProcessConfig, generate_functional, generate_real, generators
 from blockboot.exceptions import ConfigError
 from blockboot.generators import _ar1_filter, _doubling_orbit, _noise_basis
 from blockboot.rng import derive_stream
-from oracles import ar1_long_run_variance
+from oracles import ar1_long_run_variance, ar1_recursion
 
 
 GRID = np.linspace(0.0, 1.0, 16)
@@ -170,6 +170,21 @@ class TestFunctionalGenerators:
         std = s.values.std(axis=0)
         inflation = math.sqrt((1.0 + phi) / (1.0 - phi))
         assert np.all(np.abs(mean) <= 3.0 * inflation * std / math.sqrt(n))
+
+    @pytest.mark.parametrize("innovation, phi, n, points, burn_in", [
+        ("gaussian", 0.5, 1000, 101, 1000),
+        ("uniform", -0.9, 300, 7, 50),
+        ("student-t", 0.3, 40, 1, 0),
+    ])
+    def test_equals_the_stacked_recursion_bitwise(self, monkeypatch, innovation, phi, n, points,
+                                                  burn_in):
+        cfg = ProcessConfig(kind="ar1-functional", phi=phi, innovation=innovation, seed=119,
+                            burn_in=burn_in)
+        grid = np.linspace(0.0, 1.0, points)
+        in_place = generate_functional(cfg, n, grid)
+        monkeypatch.setattr(generators, "_ar1_filter", ar1_recursion)
+        stacked = generate_functional(cfg, n, grid)
+        assert in_place.values.tobytes() == stacked.values.tobytes()
 
     def test_weights_come_from_trapezoid_rule(self):
         from blockboot import trapezoid_weights

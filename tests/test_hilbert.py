@@ -1,5 +1,6 @@
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -366,3 +367,90 @@ def test_reader_refuses_files_without_data_rows(lines, end):
     path, error, caught = read_csv_text("\n".join(lines) + end)
     assert isinstance(error, EmptyInputError) and str(error) == f"{path}: no data rows"
     assert caught == []
+
+
+LINE_BREAKS = ["\n", "\r\n", "\r", "\f", "\v", "\x1c", "\x1d", "\x1e"]
+
+
+@st.composite
+def with_line_breaks(draw, text):
+    """``text`` with each ``"\\n"`` replaced by a line break ``str.splitlines`` knows."""
+    *lines, last = text.split("\n")
+    return "".join(line + draw(st.sampled_from(LINE_BREAKS)) for line in lines) + last
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.integers(1, 4))
+def test_reader_breaks_lines_where_splitlines_does(data, d):
+    text = data.draw(with_line_breaks(data.draw(csv_text(data.draw(cell_rows(d))))))
+    path, sample, caught = read_csv_text(text)
+    expected = np.array([[float(cell) for cell in line.split(",")]
+                         for line in text.splitlines() if line.strip()])
+    assert isinstance(sample, HilbertSample), sample
+    assert sample.values.tobytes() == expected.tobytes()
+    assert caught == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.integers(1, 4), fault=st.sampled_from(["ragged", "abc", "nan"]))
+def test_reader_error_lines_count_every_line_break(data, d, fault):
+    rows = data.draw(cell_rows(d))
+    faulty = {"ragged": rows[0] + ["1"], "abc": ["abc"] * d, "nan": ["nan"] * d}[fault]
+    text = data.draw(with_line_breaks(data.draw(csv_text(rows + [faulty]))))
+    line = max(number for number, cells in enumerate(text.splitlines(), 1) if cells.strip())
+    path, error, caught = read_csv_text(text)
+    expected = {"ragged": f"expected {d} columns as in the first row, found {d + 1}",
+                "abc": "column 1 is not a number: 'abc'", "nan": "non-finite value"}[fault]
+    assert type(error) is ValueError and str(error) == f"{path}:{line}: {expected}", error
+    assert caught == []
+
+
+@pytest.mark.parametrize("data_text, sidecar_text", [
+    (" \n\t\n\f\n", None),
+    ("\r\n \v\x1c", None),
+    ("1,2\n", "grid,w\n"),
+    ("1,2\n", "grid,w"),
+    ("1,2\n", "grid,w\n \n\t\r\n"),
+], ids=["blank-data", "blank-data-odd-breaks", "header-only", "header-no-newline",
+        "header-and-blanks"])
+def test_files_without_data_rows_are_refused_before_numpy_warns(tmp_path, data_text,
+                                                                sidecar_text):
+    data = tmp_path / "f.csv"
+    data.write_bytes(data_text.encode("ascii"))
+    empty = data
+    if sidecar_text is not None:
+        empty = tmp_path / "f.csv.grid.csv"
+        empty.write_bytes(sidecar_text.encode("ascii"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyInputError) as info:
+            read_sample(str(data))
+    assert str(info.value) == f"{empty}: no data rows"
+
+
+def test_reader_peak_is_about_twice_the_table(tmp_path):
+    # The parsed table and the sample's frozen copy; the file's text and its
+    # line list are never held.  Counts bytes, times nothing.
+    grid = np.linspace(0.0, 1.0, 101)
+    sample = HilbertSample(grid, trapezoid_weights(grid),
+                           derive_stream(22).standard_normal((1000, grid.size)))
+    data = str(tmp_path / "f.csv")
+    write_sample(sample, data, pointwise_w=np.ones(grid.size))
+    read_sample(data)
+    tracemalloc.start()
+    try:
+        loaded = read_sample(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.values.tobytes() == sample.values.tobytes()
+    assert peak <= 2.5 * loaded.values.nbytes, peak / loaded.values.nbytes
+
+
+def test_a_byte_that_is_not_ascii_is_named_by_its_file_offset(tmp_path):
+    # Past the first 8 KiB that a streaming read decodes at once.
+    data = tmp_path / "f.csv"
+    data.write_bytes(b"1,2\n" * 5000 + b"3,\xc3\xa9\n")
+    with pytest.raises(UnicodeDecodeError) as info:
+        read_sample(str(data))
+    assert info.value.start == 20002

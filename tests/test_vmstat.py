@@ -481,6 +481,9 @@ class TestCvmStatistic:
         (np.zeros((2, 2)), np.ones((2, 2)), None, "grid must be a nonempty 1-D array"),
         (np.empty(0), np.empty(0), None, "grid must be a nonempty 1-D array"),
         ([0.0, 0.5, 0.5, 1.0], np.ones(4), None, "grid must be strictly increasing"),
+        ([0.0, 0.5, np.inf], np.ones(3), None, "grid must be finite"),
+        ([-np.inf, 0.0, 0.5], np.ones(3), None, "grid must be finite"),
+        ([0.0, np.nan, 1.0], np.ones(3), None, "grid must be strictly increasing"),
         ([0.0, 0.5, 1.0], np.ones(2), None, "weights must match the grid"),
         ([0.0, 0.5, 1.0], [1.0, -1.0, 1.0], None, "weights must be finite and nonnegative"),
         ([0.0, 0.5, 1.0], [1.0, np.inf, 1.0], None, "weights must be finite and nonnegative"),
@@ -488,8 +491,9 @@ class TestCvmStatistic:
         ([0.0, 0.5, 1.0], np.ones(3), lambda t: np.zeros(t.size + 1),
          "cdf must return one value per grid point"),
         ([0.0, 0.5, 1.0], np.ones(3), lambda t: 0.5, "cdf must return one value per grid point"),
-    ], ids=["2-d", "empty", "repeated-point", "weights-shape", "negative-weight",
-            "infinite-weight", "nan-weight", "cdf-one-more", "cdf-scalar"])
+    ], ids=["2-d", "empty", "repeated-point", "inf-point", "minus-inf-point", "nan-point",
+            "weights-shape", "negative-weight", "infinite-weight", "nan-weight", "cdf-one-more",
+            "cdf-scalar"])
     def test_invalid_spec_is_refused(self, grid, weights, cdf, message):
         cdf = cdf or (lambda t: np.clip(t, 0.0, 1.0))
         with pytest.raises(CvmSpecError) as info:
