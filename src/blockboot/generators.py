@@ -85,7 +85,8 @@ class ProcessConfig:
         Steps discarded before recording, for the recursive kinds.
 
     ``phi``, ``t_df`` and ``coefficients`` must be finite for every kind,
-    also where the kind does not use them.
+    also where the kind does not use them.  ``basis_size``, ``burn_in`` and
+    ``seed`` are integers: a float raises ``TypeError``.
     """
 
     kind: str
@@ -98,6 +99,8 @@ class ProcessConfig:
     burn_in: int = 1000
 
     def __post_init__(self):
+        for name in ("basis_size", "burn_in", "seed"):  # a float raises TypeError
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.kind not in REAL_KINDS + FUNCTIONAL_KINDS:
             raise ConfigError(f"unknown process kind {self.kind!r}")
         if self.innovation not in INNOVATIONS:
@@ -117,7 +120,7 @@ class ProcessConfig:
             raise ConfigError("basis_size must be at least 1")
         if self.burn_in < 0:
             raise ConfigError("burn_in must be nonnegative")
-        if not 0 <= operator.index(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
 
     @property

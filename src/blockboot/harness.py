@@ -1,10 +1,16 @@
 """Config-driven Monte Carlo experiments measuring what the bootstrap earns.
 
 Each experiment repeats ``M`` times: simulate a path, run the bootstrap on
-it, record the test or interval decision.  Aggregates report empirical size
-or coverage with a binomial standard error, and the Kolmogorov distance
-between the pooled bootstrap law and the Monte Carlo law of the observed
-statistic (the finite-sample target the bootstrap is supposed to match).
+it, record the test or interval decision.  The tests take the observed
+statistic and the evaluator of its replicates from the library's
+constructors (:func:`~blockboot.bootstrap.two_sample_statistics`,
+:func:`~blockboot.vmstat.cvm_statistics`,
+:func:`~blockboot.vmstat.vstat_statistics`) that ``two_sample_test``,
+``cvm_test`` and ``vstat_test`` call, so each test is defined in one place.
+Aggregates report empirical size or coverage with a binomial standard error,
+and the Kolmogorov distance between the pooled bootstrap law and the Monte
+Carlo law of the observed statistic (the finite-sample target the bootstrap
+is supposed to match).
 Asymptotic references are reported alongside when a closed form is known:
 the chi-square law with one degree of freedom for ``vstat:product`` on iid
 data, evaluated as ``erf(sqrt(x/2))`` by :func:`~blockboot.dists.chdtr1`
@@ -49,11 +55,11 @@ from .generators import ProcessConfig, generate_functional, generate_real
 from .hilbert import HilbertSample
 from .io import json_text
 from .rng import derive_stream
-from .vmstat import (
+from .vmstat import cvm_statistics, kernel_from_token, make_cvm_spec, vstat_statistics
+# Traced by perfbench/tracing.py.
+from .vmstat import (  # noqa: F401
     cvm_bootstrap_evaluator,
     cvm_statistic,
-    kernel_from_token,
-    make_cvm_spec,
     v_statistic,
     vstat_bootstrap_evaluator,
 )
@@ -74,7 +80,7 @@ FAILURE_POLICY_LIMIT = 0.01
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform evaluation grid for functional processes."""
+    """Uniform evaluation grid for functional processes; ``points`` is an integer."""
 
     points: int
     lo: float = 0.0
@@ -82,6 +88,7 @@ class GridSpec:
     weight: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "points", operator.index(self.points))  # a float raises TypeError
         if self.points < 1:
             raise ConfigError("grid needs at least one point")
         if self.points > 1 and not self.lo < self.hi:
@@ -106,8 +113,8 @@ class ExperimentConfig:
     """Everything one Monte Carlo experiment needs, in one place.
 
     ``statistic`` selects the experiment family: ``mean-norm``,
-    ``two-sample-mean``, ``cvm``, or ``vstat:<kernel>`` with kernel tokens
-    ``product``, ``gaussian:<bandwidth>`` or ``cvm:<distribution>``.
+    ``two-sample-mean``, ``cvm``, or ``vstat:<kernel>`` with the degenerate
+    kernel tokens ``product`` or ``cvm:<distribution>``.
 
     ``n``, ``replicates``, ``replications``, ``block_length`` and
     ``master_seed`` are integers: a float raises ``TypeError``.  Settings
@@ -133,7 +140,7 @@ class ExperimentConfig:
     null: str = "auto"
 
     def __post_init__(self):
-        for name in ("n", "replicates", "replications", "block_length"):
+        for name in ("n", "replicates", "replications", "block_length", "master_seed"):
             value = getattr(self, name)  # a float raises TypeError, as for seeds
             object.__setattr__(self, name, None if value is None else operator.index(value))
         if self.family not in _FAMILIES:
@@ -152,7 +159,7 @@ class ExperimentConfig:
             raise ConfigError("replicates (B) and replications (M) must be at least 1")
         if not 0.0 < self.level < 1.0:
             raise ConfigError(f"level must lie in (0, 1), got {self.level}")
-        if not 0 <= operator.index(self.master_seed) < 2**64:
+        if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must be an unsigned 64-bit integer")
         if self.block_length is not None and not 1 <= self.block_length <= self.n:
             raise ConfigError(f"block_length must be in 1..n, got {self.block_length}")
@@ -366,8 +373,8 @@ def _two_sample_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
     y = _generate(cfg, process_y, r, _TAG_DATA_Y)
     if cfg.mean_shift != 0.0:
         y = HilbertSample(y.grid, y.weights, y.values + cfg.mean_shift)
-    observed, evaluate = two_sample_statistics(x, y, plan, plan)
-    return _bootstrap_record(cfg, plan, r, observed, evaluate, _TAG_BOOT, _TAG_BOOT_Y)
+    return _bootstrap_record(cfg, plan, r, *two_sample_statistics(x, y, plan, plan),
+                             _TAG_BOOT, _TAG_BOOT_Y)
 
 
 # Built once per process: ``Kernel`` and ``Distribution`` hold functions that
@@ -380,17 +387,13 @@ def _cvm_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
     null = _cached_null(cfg)
     s = _generate(cfg, cfg.process, r, _TAG_DATA)
     spec = make_cvm_spec(null.cdf, null.support, null.weight_fn, sample=s)
-    observed = float(cfg.n * cvm_statistic(s, spec))
-    evaluator = cvm_bootstrap_evaluator(s, plan, spec)
-    return _bootstrap_record(cfg, plan, r, observed, evaluator, _TAG_BOOT)
+    return _bootstrap_record(cfg, plan, r, *cvm_statistics(s, plan, spec), _TAG_BOOT)
 
 
 def _vstat_replication(cfg: ExperimentConfig, plan: BlockPlan, r: int):
     kernel = _cached_kernel(cfg.kernel_token)
     s = _generate(cfg, cfg.process, r, _TAG_DATA)
-    observed = float(cfg.n * v_statistic(s, kernel))
-    evaluator = vstat_bootstrap_evaluator(s, plan, kernel)
-    return _bootstrap_record(cfg, plan, r, observed, evaluator, _TAG_BOOT)
+    return _bootstrap_record(cfg, plan, r, *vstat_statistics(s, plan, kernel), _TAG_BOOT)
 
 
 # ---------------------------------------------------------------------------

@@ -38,29 +38,33 @@ def _loads(lines) -> np.ndarray:
     return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
 
 
-def _is_number(cell: str) -> bool:
-    if not cell.strip():
-        return False
+def _parses(text: str) -> bool:
     try:
-        _loads([cell])
+        _loads([text])
     except ValueError:
         return False
     return True
 
 
 def _bad_row(lines: list[str], path: str, first: int) -> None:
-    """Raise the error of the first line :func:`_loads` refuses: a cell or a column count."""
+    """Raise the error of the first line :func:`_loads` refuses: a column count or a cell.
+
+    Each line is parsed once, and only a refused line is parsed cell by cell,
+    so the search costs about one more parse of the file.
+    """
     width = None
     for number, line in enumerate(lines, first):
         if not line:
             continue
-        cells = line.split(",")
-        width = width or len(cells)
-        if len(cells) != width:
+        found = line.count(",") + 1
+        width = width or found
+        if found != width:
             raise ValueError(f"{path}:{number}: expected {width} columns as in the first row, "
-                             f"found {len(cells)}")
-        for column, cell in enumerate(cells, 1):
-            if not _is_number(cell):
+                             f"found {found}")
+        if _parses(line):
+            continue
+        for column, cell in enumerate(line.split(","), 1):
+            if not (cell.strip() and _parses(cell)):
                 raise ValueError(f"{path}:{number}: column {column} is not a number: "
                                  f"{cell.strip()!r}")
 

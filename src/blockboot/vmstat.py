@@ -518,6 +518,12 @@ def vstat_statistics(s: HilbertSample, plan: BlockPlan, h: Kernel) -> tuple[floa
     return s.n * v_statistic(s, h), vstat_bootstrap_evaluator(s, plan, h)
 
 
+def cvm_statistics(s: HilbertSample, plan: BlockPlan, spec: CvmSpec) -> tuple[float, Callable]:
+    """Observed ``n`` times the CvM distance and the evaluator of its bootstrap replicates:
+    :func:`cvm_statistic` and :func:`cvm_bootstrap_evaluator`."""
+    return s.n * cvm_statistic(s, spec), cvm_bootstrap_evaluator(s, plan, spec)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def vstat_test(s: HilbertSample, h: Kernel, plan: BlockPlan, B: int, seed: int,
                level: float) -> dict:
@@ -534,5 +540,4 @@ def vstat_test(s: HilbertSample, h: Kernel, plan: BlockPlan, B: int, seed: int,
 def cvm_test(s: HilbertSample, spec: CvmSpec, plan: BlockPlan, B: int, seed: int,
              level: float) -> dict:
     """Bootstrap goodness-of-fit test based on ``n`` times the CvM distance."""
-    return bootstrap_test(s.n * cvm_statistic(s, spec), cvm_bootstrap_evaluator(s, plan, spec),
-                          level, B, stream_draws(plan, B, seed))
+    return bootstrap_test(*cvm_statistics(s, plan, spec), level, B, stream_draws(plan, B, seed))

@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import blockboot.harness as harness
+import blockboot.vmstat as vmstat
+from blockboot.bootstrap import bootstrap_test, generator_draws, two_sample_statistics
 from blockboot.dists import normal, student_t
 from blockboot.exceptions import ConfigError
 from blockboot.generators import ProcessConfig, generate_real
@@ -22,7 +24,9 @@ from blockboot.harness import (
     resolve_null,
     run_experiment,
 )
+from blockboot.hilbert import HilbertSample
 from blockboot.rng import derive_stream
+from blockboot.vmstat import cvm_statistics, kernel_from_token, make_cvm_spec, vstat_statistics
 import oracles
 from oracles import ks_sample_vs_discrete
 
@@ -485,6 +489,48 @@ class TestVstatExperiment:
         assert all(rec.critical_value == 0.0 for rec in report.records)
 
 
+def constructor_pair(cfg, plan, r):
+    """``(observed, evaluator)`` and the draw sources of replication ``r``, built from
+    the library's constructors on the sample the harness generates."""
+    s = harness._generate(cfg, cfg.process, r, 0)
+    boot = generator_draws(plan, derive_stream(cfg.master_seed, r, 2))
+    if cfg.family == "two-sample-mean":
+        y = harness._generate(cfg, cfg.process_y or cfg.process, r, 1)
+        y = HilbertSample(y.grid, y.weights, y.values + cfg.mean_shift)
+        boot_y = generator_draws(plan, derive_stream(cfg.master_seed, r, 3))
+        return two_sample_statistics(s, y, plan, plan), (boot, boot_y)
+    if cfg.family == "cvm":
+        null = resolve_null(cfg)
+        spec = make_cvm_spec(null.cdf, null.support, null.weight_fn, sample=s)
+        return cvm_statistics(s, plan, spec), (boot,)
+    return vstat_statistics(s, plan, kernel_from_token(cfg.kernel_token)), (boot,)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(statistic="two-sample-mean", process=ProcessConfig(kind="ar1-real", phi=0.5),
+         process_y=ProcessConfig(kind="iid", innovation="uniform"), mean_shift=0.25),
+    dict(statistic="cvm", process=ProcessConfig(kind="ar1-real", phi=0.5), block_length=None),
+    dict(statistic="vstat:product"),
+    dict(statistic="vstat:cvm:normal"),
+], ids=["two-sample-mean", "cvm-normal-null", "vstat-product", "vstat-cvm-normal"])
+def test_replications_are_the_library_constructors_bit_for_bit(overrides):
+    cfg = mean_config(**{"n": 96, "replicates": 40, "replications": 3, "level": 0.1,
+                         "block_length": 6, **overrides})
+    plan = harness.experiment_plan(cfg)
+    report = run_experiment(cfg)
+    for r in range(cfg.replications):
+        record, boot = harness._safe_replicate(cfg, plan, r)
+        assert record == report.records[r] and not record.failed
+        (observed, evaluate), sources = constructor_pair(cfg, plan, r)
+        want = bootstrap_test(observed, evaluate, cfg.level, cfg.replicates, *sources)
+        got = (record.observed, record.critical_value, record.p_value)
+        assert np.array(got).tobytes() == np.array(
+            [want["statistic"], want["critical_value"], want["p_value"]]).tobytes()
+        assert record.reject is want["reject"]
+        assert boot.dtype == want["replicates"].dtype == np.float64
+        assert boot.tobytes() == want["replicates"].tobytes()
+
+
 class TestFailurePolicy:
     def test_failed_replications_are_recorded_and_excluded(self, monkeypatch):
         original = harness._mean_replication
@@ -504,17 +550,18 @@ class TestFailurePolicy:
 
     @pytest.mark.parametrize("target", ["observed", "replicate"])
     def test_non_finite_statistic_is_a_recorded_failure(self, monkeypatch, target):
+        # vstat_statistics, which builds each replication, reads these names at call time.
         if target == "observed":
-            monkeypatch.setattr(harness, "v_statistic", lambda s, kernel: float("nan"))
+            monkeypatch.setattr(vmstat, "v_statistic", lambda s, kernel: float("nan"))
         else:
-            original = harness.vstat_bootstrap_evaluator
+            original = vmstat.vstat_bootstrap_evaluator
 
             def with_nan(s, plan, kernel):
                 evaluator = original(s, plan, kernel)
                 return lambda counts: np.where(np.arange(len(counts)) == 3, np.nan,
                                                evaluator(counts))
 
-            monkeypatch.setattr(harness, "vstat_bootstrap_evaluator", with_nan)
+            monkeypatch.setattr(vmstat, "vstat_bootstrap_evaluator", with_nan)
         cfg = mean_config(statistic="vstat:product", replications=3)
         report = run_experiment(cfg)
         assert report.aggregates["failed"] == 3

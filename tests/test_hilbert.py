@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blockboot.io as blockboot_io
 from blockboot import (
     GridFunction,
     HilbertSample,
@@ -445,6 +446,26 @@ def test_reader_peak_is_about_twice_the_table(tmp_path):
         tracemalloc.stop()
     assert loaded.values.tobytes() == sample.values.tobytes()
     assert peak <= 2.5 * loaded.values.nbytes, peak / loaded.values.nbytes
+
+
+def test_a_bad_last_row_is_found_with_one_parse_per_line(tmp_path, monkeypatch):
+    # One parse of the table, one per line, and one per cell of the refused
+    # line only.  Counts calls, times nothing.
+    rows, width = 300, 21
+    data = tmp_path / "f.csv"
+    data.write_text("1.5," * (width - 1) + "2\n" + ("0," * (width - 1) + "1\n") * (rows - 2)
+                    + "0," * (width - 1) + "abc\n")
+    loads, calls = blockboot_io._loads, []
+
+    def counted(lines):
+        calls.append(None)
+        return loads(lines)
+
+    monkeypatch.setattr(blockboot_io, "_loads", counted)
+    with pytest.raises(ValueError) as info:
+        read_sample(str(data))
+    assert str(info.value) == f"{data}:{rows}: column {width} is not a number: 'abc'"
+    assert len(calls) <= 1 + rows + width
 
 
 def test_a_byte_that_is_not_ascii_is_named_by_its_file_offset(tmp_path):

@@ -18,7 +18,7 @@ from blockboot import (
 )
 from blockboot.exceptions import ParameterRangeError
 from blockboot.generators import ProcessConfig, generate_functional, generate_real
-from blockboot.harness import ExperimentConfig
+from blockboot.harness import ExperimentConfig, GridSpec
 from blockboot.rng import derive_stream
 
 SAMPLE = HilbertSample.from_scalars(np.linspace(-1.0, 1.0, 12))
@@ -81,10 +81,13 @@ def experiment(**overrides):
     lambda: experiment(replicates=8.5),
     lambda: experiment(replications=2.0),
     lambda: experiment(block_length=3.0),
+    lambda: ProcessConfig(kind="ar1-functional", basis_size=8.0),
+    lambda: ProcessConfig(kind="ar1-real", burn_in=10.0),
+    lambda: GridSpec(points=np.float64(11)),
 ], ids=["plan-p", "plan-n", "schedule-n", "distribution-named-B", "distribution-callable-B",
         "vstat-test-B", "two-sample-test-B", "generate-real-n", "generate-functional-n",
         "experiment-n", "experiment-replicates", "experiment-replications",
-        "experiment-block_length"])
+        "experiment-block_length", "process-basis_size", "process-burn_in", "grid-points"])
 def test_float_counts_and_lengths_raise_type_error(call):
     """A float count or length is refused where it is passed, as a float seed is."""
     with pytest.raises(TypeError) as info:
@@ -97,6 +100,14 @@ def test_integer_parameters_are_stored_as_int_and_bools_count_as_zero_or_one():
     plan = BlockPlan(np.int64(12), True)
     assert (plan.n, plan.p, plan.k) == (12, 1, 12) and type(plan.n) is type(plan.p) is int
     assert block_length_schedule(np.int64(27)) == BlockPlan(27, 3)
-    cfg = experiment(n=np.int64(12), replications=True, block_length=np.int32(3))
-    assert (cfg.n, cfg.replications, cfg.block_length) == (12, 1, 3)
-    assert {type(v) for v in (cfg.n, cfg.replicates, cfg.replications, cfg.block_length)} == {int}
+    cfg = experiment(n=np.int64(12), replications=True, block_length=np.int32(3),
+                     master_seed=np.uint64(2**63))
+    assert (cfg.n, cfg.replications, cfg.block_length, cfg.master_seed) == (12, 1, 3, 2**63)
+    assert {type(v) for v in (cfg.n, cfg.replicates, cfg.replications, cfg.block_length,
+                              cfg.master_seed)} == {int}
+    process = ProcessConfig(kind="ar1-functional", basis_size=np.int16(3), burn_in=False,
+                            seed=np.uint64(7))
+    assert (process.basis_size, process.burn_in, process.seed) == (3, 0, 7)
+    assert {type(v) for v in (process.basis_size, process.burn_in, process.seed)} == {int}
+    grid = GridSpec(points=np.uint8(5))
+    assert grid.points == 5 and type(grid.points) is int and GridSpec(points=True).points == 1

@@ -20,6 +20,10 @@ TRACED = "# Traced by perfbench"
 TRACED_IMPORTS = {
     ("harness", "counts_from_indices"),
     ("harness", "empirical_quantile"),
+    ("harness", "cvm_bootstrap_evaluator"),
+    ("harness", "cvm_statistic"),
+    ("harness", "v_statistic"),
+    ("harness", "vstat_bootstrap_evaluator"),
     ("vmstat", "block_counts_per_replicate"),
     ("vmstat", "empirical_quantile"),
 }
